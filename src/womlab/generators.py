@@ -154,14 +154,7 @@ def generate_ws(params: WsParams, seed: RngSeed) -> Graph:
                 else:
                     u_list[k] = t
                 break
-    return build_graph(n, zip(u_list, v_list))
-
-
-def _geometric_minus_one(rng: np.random.Generator, p: float) -> int:
-    """Draw from {0, 1, 2, ...} with P(x) = p^x (1-p); mean p / (1-p)."""
-    if p <= 0.0:
-        return 0
-    return int(rng.geometric(1.0 - p)) - 1
+    return build_graph(n, np.array([u_list, v_list], dtype=np.int64).T)
 
 
 def generate_ff(params: FfParams, seed: RngSeed) -> Graph:
@@ -181,52 +174,59 @@ def generate_ff(params: FfParams, seed: RngSeed) -> Graph:
     Draw order per new node: ambassador picks (resampled until
     distinct), then per dequeued node the forward count, the backward
     count, and the candidate index picks for whichever counts are
-    positive, out-neighbors first.
+    positive, out-neighbors first.  A count is one geometric draw minus
+    one (no draw when its probability is 0, or for the backward count
+    when ``fw_prob * bw_factor >= 1``, which burns every in-neighbor).
+    Picks take ``Generator.choice(len, size=want, replace=False)``; a
+    single pick takes ``Generator.integers(0, len)`` instead, which
+    consumes the same draw and returns the same index.
     """
     n, p, ambs = params.n, params.fw_prob, params.ambs
     pb = p * params.bw_factor
     rng = make_rng(seed)
-    edges: list[tuple[int, int]] = []
+    integers, geometric, choice = rng.integers, rng.geometric, rng.choice
+    q_fwd, q_bwd = 1.0 - p, 1.0 - pb
+    src: list[int] = []
+    dst: list[int] = []
     out_adj: list[list[int]] = [[] for _ in range(n)]
     in_adj: list[list[int]] = [[] for _ in range(n)]
-    visited = np.full(n, -1, dtype=np.int64)  # stamp of the arrival that burned the node
+    visited = [-1] * n  # stamp of the arrival that burned the node
     for a in range(1, n):
         visited[a] = a
         k = min(ambs, a)
         queue: list[int] = []
         while len(queue) < k:
-            b = int(rng.integers(0, a))
+            b = int(integers(0, a))
             if visited[b] == a:
                 continue
             visited[b] = a
-            out_adj[a].append(b)
-            in_adj[b].append(a)
-            edges.append((a, b))
             queue.append(b)
-        head = 0
-        while head < len(queue):
-            b = queue[head]
-            head += 1
-            n_fwd = _geometric_minus_one(rng, p)
-            n_bwd = len(in_adj[b]) if pb >= 1.0 else _geometric_minus_one(rng, pb)
+        for b in queue:  # grows while burning: breadth-first order
+            n_fwd = int(geometric(q_fwd)) - 1 if p > 0.0 else 0
+            if pb >= 1.0:
+                n_bwd = len(in_adj[b])
+            else:
+                n_bwd = int(geometric(q_bwd)) - 1 if pb > 0.0 else 0
             for candidates, want in ((out_adj[b], n_fwd), (in_adj[b], n_bwd)):
                 if want <= 0:
                     continue
                 fresh = [w for w in candidates if visited[w] != a]
-                if not fresh:
-                    continue
                 if want >= len(fresh):
                     chosen = fresh
+                elif want == 1:
+                    chosen = [fresh[int(integers(0, len(fresh)))]]
                 else:
-                    picks = rng.choice(len(fresh), size=want, replace=False)
-                    chosen = [fresh[int(i)] for i in picks]
+                    chosen = [fresh[i] for i in choice(len(fresh), size=want,
+                                                       replace=False).tolist()]
                 for w in chosen:
                     visited[w] = a
-                    out_adj[a].append(w)
-                    in_adj[w].append(a)
-                    edges.append((a, w))
-                    queue.append(w)
-    return build_graph(n, edges)
+                queue.extend(chosen)
+        out_adj[a] = queue
+        for w in queue:
+            in_adj[w].append(a)
+        src.extend([a] * len(queue))
+        dst.extend(queue)
+    return build_graph(n, np.array([src, dst], dtype=np.int64).T)
 
 
 def generate_sii(params: SiiParams, seed: RngSeed) -> Graph:

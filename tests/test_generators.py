@@ -6,7 +6,8 @@ import pytest
 from womlab.generators import (FfParams, GenerationError, SiiParams, WsParams,
                                default_params, generate, generate_ff,
                                generate_sii, generate_validated, generate_ws)
-from womlab.graph import global_clustering, is_connected
+from womlab.graph import build_graph, global_clustering, is_connected
+from womlab.rng import make_rng
 
 
 def test_params_validation():
@@ -108,6 +109,72 @@ def test_ff_multiple_ambassadors():
     # nodes 1 and 2 cannot reach 3 ambassadors yet; later nodes always do
     assert g.edge_count == 1 + 2 + 3 * 37
     assert is_connected(g)
+
+
+def _geometric_minus_one(rng, p):
+    if p <= 0.0:
+        return 0
+    return int(rng.geometric(1.0 - p)) - 1
+
+
+def reference_ff(params, seed):
+    """The original loop form of ``generate_ff``, kept as its draw-order reference."""
+    n, p, ambs = params.n, params.fw_prob, params.ambs
+    pb = p * params.bw_factor
+    rng = make_rng(seed)
+    edges = []
+    out_adj = [[] for _ in range(n)]
+    in_adj = [[] for _ in range(n)]
+    visited = np.full(n, -1, dtype=np.int64)  # stamp of the arrival that burned the node
+    for a in range(1, n):
+        visited[a] = a
+        k = min(ambs, a)
+        queue = []
+        while len(queue) < k:
+            b = int(rng.integers(0, a))
+            if visited[b] == a:
+                continue
+            visited[b] = a
+            out_adj[a].append(b)
+            in_adj[b].append(a)
+            edges.append((a, b))
+            queue.append(b)
+        head = 0
+        while head < len(queue):
+            b = queue[head]
+            head += 1
+            n_fwd = _geometric_minus_one(rng, p)
+            n_bwd = len(in_adj[b]) if pb >= 1.0 else _geometric_minus_one(rng, pb)
+            for candidates, want in ((out_adj[b], n_fwd), (in_adj[b], n_bwd)):
+                if want <= 0:
+                    continue
+                fresh = [w for w in candidates if visited[w] != a]
+                if not fresh:
+                    continue
+                if want >= len(fresh):
+                    chosen = fresh
+                else:
+                    picks = rng.choice(len(fresh), size=want, replace=False)
+                    chosen = [fresh[int(i)] for i in picks]
+                for w in chosen:
+                    visited[w] = a
+                    out_adj[a].append(w)
+                    in_adj[w].append(a)
+                    edges.append((a, w))
+                    queue.append(w)
+    return build_graph(n, edges)
+
+
+@pytest.mark.parametrize("params", [
+    FfParams(),
+    FfParams(ambs=3, n=300),
+    FfParams(fw_prob=0.0),
+    FfParams(fw_prob=0.5, bw_factor=2.0, n=150),  # pb >= 1 burns every in-neighbor
+    FfParams(n=1),
+], ids=["defaults", "ambs3", "tree", "burn-all-in", "n1"])
+def test_ff_matches_reference_draw_for_draw(params):
+    for seed in range(30):
+        assert generate_ff(params, seed) == reference_ff(params, seed), seed
 
 
 # -- interconnected islands -----------------------------------------------------

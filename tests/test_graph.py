@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from womlab.generators import MODEL_IDS, default_params, generate
 from womlab.graph import (Graph, GraphConstructionError, MetricDomainError,
                           average_path_length, build_graph, compute_metrics,
                           density, diameter, global_clustering, is_connected)
@@ -64,8 +65,9 @@ def oracle_path_stats(g):
 def oracle_clustering(g):
     n = g.node_count
     adj = [set(g.neighbors(i)) for i in range(n)]
-    triangles = sum(1 for a, b, c in itertools.combinations(range(n), 3)
-                    if b in adj[a] and c in adj[a] and c in adj[b])
+    # every triangle a < b < c once, with b and c found among a's neighbors
+    triangles = sum(1 for a in range(n) for b, c in itertools.combinations(sorted(adj[a]), 2)
+                    if a < b and c in adj[b])
     triples = sum(len(adj[i]) * (len(adj[i]) - 1) // 2 for i in range(n))
     return 3 * triangles / triples if triples else 0.0
 
@@ -233,6 +235,20 @@ def test_clustering_matches_enumeration_oracle():
         n = int(rng.integers(2, 13))
         g = random_graph(rng, n, float(rng.random()))
         assert global_clustering(g) == pytest.approx(oracle_clustering(g), abs=1e-12), trial
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 130])
+def test_clustering_exact_across_bitset_words(n):
+    rng = np.random.default_rng(n)
+    for p in (0.05, 0.3, 0.8, 1.0):
+        g = random_graph(rng, n, p)
+        assert global_clustering(g) == oracle_clustering(g), p
+
+
+@pytest.mark.parametrize("model", MODEL_IDS)
+def test_clustering_exact_on_default_networks(model):
+    g = generate(model, default_params(model), 17)
+    assert global_clustering(g) == oracle_clustering(g)
 
 
 def test_connected_graph_metric_ordering():
