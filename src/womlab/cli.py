@@ -14,19 +14,17 @@ import sys
 from pathlib import Path
 
 from .generators import FfParams, GenerationError, SiiParams, WsParams, generate_validated
-from .graph import GraphMetrics, compute_metrics
+from .graph import compute_metrics
 from .model import (AWARENESS_NAMES, EXPERTISE_NAMES, STATE_COMBOS, SimConfig, run)
-from .reporting import (RECORDS_HEADER, CsvFormatError, panel_keys, read_graphml,
-                        read_records_csv, render_heatmap, write_graphml,
-                        write_records_csv)
-from .sweep import SweepGrid, aggregate, failure_count, run_sweep
+from .reporting import (METRICS_HEADER, CsvFormatError, metrics_csv_row, panel_keys,
+                        read_graphml, read_records_csv, records_csv_string,
+                        render_heatmap, write_graphml, write_records_csv)
+from .sweep import SweepGrid, aggregate, failure_count, run_record, run_sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 EXIT_ACCEPTANCE = 3
-
-METRICS_HEADER = "nodes,edges,density,avg_path_length,clustering,diameter,connected"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -35,13 +33,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-def _metrics_row(m: GraphMetrics) -> str:
-    apl = "NA" if m.avg_path_length is None else f"{m.avg_path_length:.6f}"
-    diam = "NA" if m.diameter is None else str(m.diameter)
-    return (f"{m.node_count},{m.edge_count},{m.density:.6f},{apl},"
-            f"{m.global_clustering:.6f},{diam},{'true' if m.connected else 'false'}")
 
 
 def _model_params(args):
@@ -162,26 +153,15 @@ def cmd_generate(args) -> int:
     params = _model_params(args)
     graph, metrics, _ = generate_validated(args.model, params, args.seed, args.max_retries)
     write_graphml(graph, args.out)
-    print(_metrics_row(metrics))
+    print(metrics_csv_row(metrics))
     return EXIT_OK
 
 
 def cmd_metrics(args) -> int:
     graph = read_graphml(args.infile)
     print(METRICS_HEADER)
-    print(_metrics_row(compute_metrics(graph)))
+    print(metrics_csv_row(compute_metrics(graph)))
     return EXIT_OK
-
-
-def _record_row(name: str, seed: int, cfg: SimConfig, result, metrics: GraphMetrics) -> str:
-    apl = "NA" if metrics.avg_path_length is None else f"{metrics.avg_path_length:.6f}"
-    diam = "NA" if metrics.diameter is None else str(metrics.diameter)
-    return (f"{name},0,{seed},{cfg.k:.6f},{cfg.p_curious:.6f},{cfg.p_enthusiastic:.6f},"
-            f"{cfg.p_supporter:.6f},{result.final_aware_fraction:.6f},"
-            f"{result.final_both_fraction:.6f},{result.rounds_to_quiescence},"
-            f"{'true' if result.hit_max_rounds else 'false'},{metrics.node_count},"
-            f"{metrics.edge_count},{metrics.density:.6f},{apl},"
-            f"{metrics.global_clustering:.6f},{diam}")
 
 
 def cmd_simulate(args) -> int:
@@ -192,9 +172,8 @@ def cmd_simulate(args) -> int:
                     seeker_gives_up=not args.no_give_up, max_rounds=args.max_rounds,
                     seed=args.seed)
     result = run(graph, cfg)
-    metrics = compute_metrics(graph)
-    print(RECORDS_HEADER)
-    print(_record_row("file", args.seed, cfg, result, metrics))
+    record = run_record("file", 0, cfg, result, compute_metrics(graph))
+    sys.stdout.write(records_csv_string([record]))
     if args.trace:
         header = "round," + ",".join(
             f"{AWARENESS_NAMES[aw]}_{EXPERTISE_NAMES[ex]}" for aw, ex in STATE_COMBOS)

@@ -125,35 +125,33 @@ def generate_ws(params: WsParams, seed: RngSeed) -> Graph:
     v_arr = (u_arr + np.tile(np.arange(1, nei + 1, dtype=np.int64), n)) % n
     u_list = u_arr.tolist()
     v_list = v_arr.tolist()
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for k in range(m):
-        adj[u_list[k]].add(v_list[k])
-        adj[v_list[k]].add(u_list[k])
+    offsets = np.concatenate([np.arange(1, nei + 1), -np.arange(1, nei + 1)])
+    adj = [set(row) for row in ((np.arange(n)[:, None] + offsets) % n).tolist()]
 
     coins = rng.random(2 * m)
-    for k in range(m):
-        # Trial 1 rewires the clockwise endpoint, trial 2 the anchor.
-        for trial in (0, 1):
-            if coins[2 * k + trial] >= p:
+    integers = rng.integers
+    # Coin 2k rewires the clockwise endpoint of edge k, coin 2k+1 its
+    # anchor; only the coins below p are visited, in coin order.
+    for f in np.flatnonzero(coins < p).tolist():
+        k, trial = f >> 1, f & 1
+        if trial == 0:
+            anchor, moved = u_list[k], v_list[k]
+        else:
+            anchor, moved = v_list[k], u_list[k]
+        anchor_adj = adj[anchor]
+        for _ in range(_WS_REWIRE_ATTEMPTS):
+            t = int(integers(0, n))
+            if t == anchor or t in anchor_adj:
                 continue
+            anchor_adj.remove(moved)
+            adj[moved].remove(anchor)
+            anchor_adj.add(t)
+            adj[t].add(anchor)
             if trial == 0:
-                anchor, moved = u_list[k], v_list[k]
+                v_list[k] = t
             else:
-                anchor, moved = v_list[k], u_list[k]
-            anchor_adj = adj[anchor]
-            for _ in range(_WS_REWIRE_ATTEMPTS):
-                t = int(rng.integers(0, n))
-                if t == anchor or t in anchor_adj:
-                    continue
-                anchor_adj.remove(moved)
-                adj[moved].remove(anchor)
-                anchor_adj.add(t)
-                adj[t].add(anchor)
-                if trial == 0:
-                    v_list[k] = t
-                else:
-                    u_list[k] = t
-                break
+                u_list[k] = t
+            break
     return build_graph(n, np.array([u_list, v_list], dtype=np.int64).T)
 
 

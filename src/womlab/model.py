@@ -123,7 +123,7 @@ class SimResult:
 class World:
     """Mutable population state over a fixed interaction network."""
 
-    __slots__ = ("graph", "cfg", "rng", "n", "adj",
+    __slots__ = ("graph", "cfg", "rng", "n", "indptr", "indices",
                  "awareness", "expertise", "curious", "enthusiastic", "supporter",
                  "unqueried", "unpushed", "pending", "promote_left",
                  "round", "counts", "n_seeking", "n_seek_exhausted", "n_proactive",
@@ -134,7 +134,8 @@ class World:
         self.cfg = cfg
         self.rng = make_rng(cfg.seed)
         self.n = graph.node_count
-        self.adj = graph.adjacency
+        indptr, self.indices = graph.csr_arrays()
+        self.indptr = indptr.tolist()
         n = self.n
         self.awareness = [UNAWARE] * n
         self.expertise = [IGNORANT] * n
@@ -198,7 +199,7 @@ class World:
         return self.n_seeking == self.n_seek_exhausted
 
     def _shuffled_neighbors(self, i: int) -> list[int]:
-        neighbors = np.asarray(self.adj[i], dtype=np.int64)
+        neighbors = self.indices[self.indptr[i]:self.indptr[i + 1]].copy()
         self.rng.shuffle(neighbors)
         return neighbors.tolist()
 
@@ -243,6 +244,10 @@ def deliver_awareness(world: World, agent_id: int, cause: str = "contact") -> No
     order; an ignorant non-curious agent becomes passively aware.
     """
     world._check_id(agent_id)
+    _deliver_awareness(world, agent_id, cause)
+
+
+def _deliver_awareness(world: World, agent_id: int, cause: str = "contact") -> None:
     if world.awareness[agent_id] != UNAWARE:
         return
     if cause == "ad":
@@ -276,6 +281,10 @@ def deliver_expertise(world: World, agent_id: int) -> None:
     final state.)
     """
     world._check_id(agent_id)
+    _deliver_expertise(world, agent_id)
+
+
+def _deliver_expertise(world: World, agent_id: int) -> None:
     stack = [agent_id]
     while stack:
         i = stack.pop()
@@ -327,14 +336,14 @@ def step(world: World) -> None:
         reach = round_half_up(cfg.ad_share * world.n)
         if reach:
             awareness = world.awareness
-            pool = [i for i in range(world.n) if awareness[i] == UNAWARE]
+            pool = [i for i, aw in enumerate(awareness) if aw == UNAWARE]
             if reach >= len(pool):
                 targets = pool
             else:
                 picks = rng.choice(len(pool), size=reach, replace=False)
                 targets = [pool[j] for j in picks.tolist()]
             for t in targets:
-                deliver_awareness(world, t, cause="ad")
+                _deliver_awareness(world, t, cause="ad")
     awareness = world.awareness
     expertise = world.expertise
     for i in rng.permutation(world.n).tolist():
@@ -344,9 +353,9 @@ def step(world: World) -> None:
                 target = episode.pop()
                 if not episode:
                     world.n_seek_exhausted += 1
-                deliver_awareness(world, target)
+                _deliver_awareness(world, target)
                 if expertise[target] != IGNORANT:
-                    deliver_expertise(world, i)
+                    _deliver_expertise(world, i)
                 else:
                     world.pending[target].append(i)
             if awareness[i] == SEEKING and not world.unqueried[i] and cfg.seeker_gives_up:
@@ -359,13 +368,13 @@ def step(world: World) -> None:
             left = world.promote_left[i]
             if left > 0 and episode:
                 target = episode.pop()
-                deliver_awareness(world, target)
+                _deliver_awareness(world, target)
                 # A target that took up seeking evaluates on its own
                 # terms; it will query its way back to expertise (this
                 # promoter is in its episode).  Everyone else receives
                 # the know-how on the spot.
                 if awareness[target] != SEEKING:
-                    deliver_expertise(world, target)
+                    _deliver_expertise(world, target)
                 left -= 1
                 world.promote_left[i] = left
             if left <= 0 or not episode:

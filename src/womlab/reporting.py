@@ -15,12 +15,13 @@ from __future__ import annotations
 import xml.parsers.expat
 from pathlib import Path
 
-from .graph import Graph, build_graph
+from .graph import Graph, GraphMetrics, build_graph
 from .sweep import CellSummary, RunRecord
 
 RECORDS_HEADER = ("network_model,network_seed,sim_seed,k,curious,enthusiastic,"
                   "supporters,final_aware,final_both,rounds,hit_max_rounds,"
                   "nodes,edges,density,avg_path_length,clustering,diameter")
+METRICS_HEADER = "nodes,edges,density,avg_path_length,clustering,diameter,connected"
 SUMMARIES_HEADER = ("network_model,k,supporters,curious,enthusiastic,"
                     "mean_final_both,sd_final_both,mean_final_aware,mean_rounds,n")
 
@@ -153,7 +154,16 @@ def read_graphml(source, return_mapping: bool = False):
     return g
 
 
-# -- records / summaries CSV -------------------------------------------------
+# -- metrics / records / summaries CSV ------------------------------------------
+
+
+def metrics_csv_row(m: GraphMetrics) -> str:
+    """One ``METRICS_HEADER`` row (no newline)."""
+    return ",".join([
+        str(m.node_count), str(m.edge_count), _fmt(m.density),
+        _fmt_opt(m.avg_path_length), _fmt(m.global_clustering), _fmt_opt(m.diameter),
+        "true" if m.connected else "false",
+    ])
 
 
 def records_csv_string(records: list[RunRecord]) -> str:

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .generators import GenerationError, default_params, generate_validated
-from .model import SimConfig, run
+from .graph import GraphMetrics
+from .model import SimConfig, SimResult, run
 from .rng import SEED_MASK, check_seed
 
 # XOR-ed onto the network seed to name the simulation stream of a run.
@@ -162,15 +163,20 @@ def execute_run(grid: SweepGrid, spec: RunSpec) -> RunRecord:
                          0.0, 0.0, 0, False, 0, 0, 0.0, None, 0.0, None, failed=True)
     cfg = SimConfig(k=spec.k, p_curious=spec.curious, p_enthusiastic=spec.enthusiastic,
                     p_supporter=spec.supporters, seed=spec.sim_seed)
-    result = run(graph, cfg)
+    return run_record(grid.network_model, spec.network_seed, cfg, run(graph, cfg), metrics)
+
+
+def run_record(network_model: str, network_seed: int, cfg: SimConfig,
+               result: SimResult, metrics: GraphMetrics) -> RunRecord:
+    """Flatten one run's configuration, outcome and network statistics."""
     return RunRecord(
-        network_model=grid.network_model,
-        network_seed=spec.network_seed,
-        sim_seed=spec.sim_seed,
-        k=spec.k,
-        curious=spec.curious,
-        enthusiastic=spec.enthusiastic,
-        supporters=spec.supporters,
+        network_model=network_model,
+        network_seed=network_seed,
+        sim_seed=cfg.seed,
+        k=cfg.k,
+        curious=cfg.p_curious,
+        enthusiastic=cfg.p_enthusiastic,
+        supporters=cfg.p_supporter,
         final_aware=result.final_aware_fraction,
         final_both=result.final_both_fraction,
         rounds=result.rounds_to_quiescence,

@@ -264,6 +264,7 @@ def test_c7_property_suites(tmp_path):
 # -- criterion 8: performance --------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_c8_full_grid_performance(tmp_path):
     grid = SweepGrid(network_model="ws", base_seed=BASE_SEED)
     assert grid.run_count() == 39690

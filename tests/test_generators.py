@@ -80,6 +80,54 @@ def test_ws_edge_count_invariant_under_rewiring():
             assert g.node_count == 120
 
 
+def reference_ws(params, seed):
+    """The all-coins loop form of ``generate_ws``, kept as its draw-order reference."""
+    n, nei, p = params.n, params.nei, params.p_rewire
+    rng = make_rng(seed)
+    m = n * nei
+    u_list = [i for i in range(n) for _ in range(nei)]
+    v_list = [(i + j) % n for i in range(n) for j in range(1, nei + 1)]
+    adj = [set() for _ in range(n)]
+    for k in range(m):
+        adj[u_list[k]].add(v_list[k])
+        adj[v_list[k]].add(u_list[k])
+    coins = rng.random(2 * m)
+    for k in range(m):
+        for trial in (0, 1):
+            if coins[2 * k + trial] >= p:
+                continue
+            if trial == 0:
+                anchor, moved = u_list[k], v_list[k]
+            else:
+                anchor, moved = v_list[k], u_list[k]
+            for _ in range(100):
+                t = int(rng.integers(0, n))
+                if t == anchor or t in adj[anchor]:
+                    continue
+                adj[anchor].remove(moved)
+                adj[moved].remove(anchor)
+                adj[anchor].add(t)
+                adj[t].add(anchor)
+                if trial == 0:
+                    v_list[k] = t
+                else:
+                    u_list[k] = t
+                break
+    return build_graph(n, list(zip(u_list, v_list)))
+
+
+@pytest.mark.parametrize("params", [
+    WsParams(p_rewire=0.0),
+    WsParams(),
+    WsParams(p_rewire=0.5),
+    WsParams(p_rewire=1.0),
+    WsParams(n=11, nei=5, p_rewire=0.5),  # complete: every rewire exhausts its attempts
+], ids=["p0", "defaults", "p0.5", "p1", "complete"])
+def test_ws_matches_reference_draw_for_draw(params):
+    for seed in range(30):
+        assert generate_ws(params, seed) == reference_ws(params, seed), seed
+
+
 def test_ws_default_size_density():
     g = generate_ws(WsParams(), seed=3)
     assert g.edge_count == 5000

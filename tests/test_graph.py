@@ -8,8 +8,9 @@ import pytest
 
 from womlab.generators import MODEL_IDS, default_params, generate
 from womlab.graph import (Graph, GraphConstructionError, MetricDomainError,
-                          average_path_length, build_graph, compute_metrics,
-                          density, diameter, global_clustering, is_connected)
+                          _distance_summary, average_path_length, build_graph,
+                          compute_metrics, density, diameter, global_clustering,
+                          is_connected)
 
 INF = math.inf
 
@@ -75,6 +76,49 @@ def oracle_clustering(g):
 def random_graph(rng, n, p):
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return build_graph(n, edges)
+
+
+def reference_distance_summary(g):
+    """The gather-and-reduceat form of ``_distance_summary``, kept as its reference."""
+    n = g.node_count
+    if n == 0:
+        return None, None, True
+    if n == 1:
+        return None, 0, True
+    indptr, indices = g.csr_arrays()
+    words = (n + 63) >> 6
+    reach = np.zeros((n, words), dtype=np.uint64)
+    ids = np.arange(n)
+    reach[ids, ids >> 6] = np.uint64(1) << (ids & 63).astype(np.uint64)
+    nnz = len(indices)
+    gathered = np.empty((nnz + 1, words), dtype=np.uint64)
+    gathered[nnz] = 0
+    starts = indptr[:-1].astype(np.intp).copy()
+    empty = indptr[:-1] == indptr[1:]
+    has_empty = bool(empty.any())
+    if has_empty:
+        starts[empty] = nnz  # point empty rows at the zero pad
+    total_pairs = n * n
+    count = int(np.bitwise_count(reach).sum())
+    dist_sum = 0
+    layer = 0
+    while count < total_pairs:
+        dist_sum += total_pairs - count
+        if nnz:
+            np.take(reach, indices, axis=0, out=gathered[:nnz])
+            grown = np.bitwise_or.reduceat(gathered, starts, axis=0)
+            if has_empty:
+                grown[empty] = 0
+            np.bitwise_or(grown, reach, out=grown)
+        else:
+            grown = reach
+        new_count = int(np.bitwise_count(grown).sum())
+        if new_count == count:
+            return None, None, False
+        reach = grown
+        count = new_count
+        layer += 1
+    return dist_sum / (n * (n - 1)), layer, True
 
 
 # -- construction -----------------------------------------------------------
@@ -249,6 +293,37 @@ def test_clustering_exact_across_bitset_words(n):
 def test_clustering_exact_on_default_networks(model):
     g = generate(model, default_params(model), 17)
     assert global_clustering(g) == oracle_clustering(g)
+
+
+@pytest.mark.parametrize("n", [2, 63, 64, 65, 130])
+def test_distance_summary_matches_reference_across_bitset_words(n):
+    rng = np.random.default_rng(1000 + n)
+    for p in (0.0, 0.02, 0.05, 0.3, 1.0):
+        g = random_graph(rng, n, p)
+        assert _distance_summary(g) == reference_distance_summary(g), p
+
+
+def star_plus_ring(n):
+    # the hub's neighbor slots beyond the first few are held by one row only
+    return build_graph(n, [(0, i) for i in range(1, n)] + [(i, i + 1) for i in range(1, n - 1)])
+
+
+@pytest.mark.parametrize("g", [
+    build_graph(200, [(0, i) for i in range(1, 200)]),
+    star_plus_ring(300),
+    build_graph(100, [(i, i + 1) for i in range(59)] + [(60, 61)]),  # isolated nodes
+    build_graph(130, [(i, (i + 1) % 64) for i in range(64)]
+                + [(64 + i, 64 + (i + 1) % 66) for i in range(66)]),  # two rings
+    build_graph(70, []),
+], ids=["star", "star-ring", "isolated", "disconnected", "edgeless"])
+def test_distance_summary_matches_reference_on_shapes(g):
+    assert _distance_summary(g) == reference_distance_summary(g)
+
+
+@pytest.mark.parametrize("model", MODEL_IDS)
+def test_distance_summary_matches_reference_on_default_networks(model):
+    g = generate(model, default_params(model), 23)
+    assert _distance_summary(g) == reference_distance_summary(g)
 
 
 def test_connected_graph_metric_ordering():

@@ -6,8 +6,9 @@ import pytest
 from womlab.generators import WsParams, generate_validated, generate_ws
 from womlab.graph import build_graph
 from womlab.model import (AWARE, IGNORANT, KNOWLEDGEABLE, PROACTIVE, SEEKING,
-                          UNAWARE, SimConfig, World, deliver_awareness,
+                          UNAWARE, SimConfig, SimResult, World, deliver_awareness,
                           deliver_expertise, init_population, run, step)
+from womlab.rng import round_half_up
 
 BASE = dict(k=0.0, p_curious=0.0, p_enthusiastic=0.0, p_supporter=0.0,
             ad_rounds=0, seed=1)
@@ -389,3 +390,160 @@ def test_reachability_oracle_on_disconnected_graphs():
                 assert i in expert_reachable, trial
             if w.awareness[i] != UNAWARE:
                 assert i in aware_reachable, trial
+
+
+# -- reference: the validating step, kept as the draw-order oracle ---------------
+
+
+def _ref_shuffled_neighbors(w, i):
+    neighbors = np.asarray(w.graph.adjacency[i], dtype=np.int64)
+    w.rng.shuffle(neighbors)
+    return neighbors.tolist()
+
+
+def _ref_start_promoting(w, i):
+    w.promote_left[i] = w.cfg.t_promote
+    w.unpushed[i] = _ref_shuffled_neighbors(w, i)
+    w.n_proactive += 1
+
+
+def _ref_deliver_awareness(w, i, cause="contact"):
+    w._check_id(i)
+    if w.awareness[i] != UNAWARE:
+        return
+    if cause == "ad":
+        w.ad_recipients.add(i)
+    ex = w.expertise[i]
+    if ex != IGNORANT:
+        if w.supporter[i] and ex != PROACTIVE:
+            w._move(i, AWARE, PROACTIVE)
+            _ref_start_promoting(w, i)
+        else:
+            w._move(i, AWARE, ex)
+    elif w.curious[i]:
+        w._move(i, SEEKING, IGNORANT)
+        episode = _ref_shuffled_neighbors(w, i)
+        w.unqueried[i] = episode
+        w.n_seeking += 1
+        if not episode:
+            w.n_seek_exhausted += 1
+    else:
+        w._move(i, AWARE, IGNORANT)
+
+
+def _ref_deliver_expertise(w, agent_id):
+    w._check_id(agent_id)
+    stack = [agent_id]
+    while stack:
+        i = stack.pop()
+        if w.expertise[i] != IGNORANT:
+            continue
+        if w.enthusiastic[i]:
+            new_ex = PROACTIVE
+            _ref_start_promoting(w, i)
+        else:
+            new_ex = KNOWLEDGEABLE
+        aw = w.awareness[i]
+        if aw == SEEKING:
+            w.n_seeking -= 1
+            if not w.unqueried[i]:
+                w.n_seek_exhausted -= 1
+            w.unqueried[i] = None
+            aw = AWARE
+        w._move(i, aw, new_ex)
+        if w.pending[i]:
+            stack.extend(w.pending[i])
+            w.pending[i] = []
+
+
+def reference_step(w):
+    cfg, rng = w.cfg, w.rng
+    w.round += 1
+    if w.round <= cfg.ad_rounds:
+        reach = round_half_up(cfg.ad_share * w.n)
+        if reach:
+            pool = [i for i in range(w.n) if w.awareness[i] == UNAWARE]
+            if reach >= len(pool):
+                targets = pool
+            else:
+                picks = rng.choice(len(pool), size=reach, replace=False)
+                targets = [pool[j] for j in picks.tolist()]
+            for t in targets:
+                _ref_deliver_awareness(w, t, cause="ad")
+    for i in rng.permutation(w.n).tolist():
+        if w.awareness[i] == SEEKING:
+            episode = w.unqueried[i]
+            while episode and w.expertise[i] == IGNORANT:
+                target = episode.pop()
+                if not episode:
+                    w.n_seek_exhausted += 1
+                _ref_deliver_awareness(w, target)
+                if w.expertise[target] != IGNORANT:
+                    _ref_deliver_expertise(w, i)
+                else:
+                    w.pending[target].append(i)
+            if w.awareness[i] == SEEKING and not w.unqueried[i] and cfg.seeker_gives_up:
+                w.n_seeking -= 1
+                w.n_seek_exhausted -= 1
+                w.unqueried[i] = None
+                w._move(i, AWARE, IGNORANT)
+        elif w.expertise[i] == PROACTIVE:
+            episode = w.unpushed[i]
+            left = w.promote_left[i]
+            if left > 0 and episode:
+                target = episode.pop()
+                _ref_deliver_awareness(w, target)
+                if w.awareness[target] != SEEKING:
+                    _ref_deliver_expertise(w, target)
+                left -= 1
+                w.promote_left[i] = left
+            if left <= 0 or not episode:
+                w.unpushed[i] = None
+                w._move(i, w.awareness[i], KNOWLEDGEABLE)
+                w.n_proactive -= 1
+
+
+def reference_run(graph, cfg):
+    w = init_population(graph, cfg)
+    series = [tuple(w.counts)]
+    while w.round < cfg.max_rounds and not w.is_quiescent():
+        reference_step(w)
+        series.append(tuple(w.counts))
+    n = max(w.n, 1)
+    return SimResult(w.aware_count() / n, w.both_count() / n, w.round,
+                     not w.is_quiescent(), series), w
+
+
+def _ws(n, seed):
+    return generate_ws(WsParams(n=n, nei=3, p_rewire=0.1), seed)
+
+
+@pytest.mark.parametrize("graph,overrides", [
+    (_ws(200, 1), dict(k=0.01, p_curious=0.5, p_enthusiastic=0.5, p_supporter=0.1)),
+    (_ws(200, 2), dict(k=0.1, p_curious=1.0, p_enthusiastic=0.0, p_supporter=0.5)),
+    (_ws(200, 3), dict(k=0.5, p_curious=0.0, p_enthusiastic=1.0, p_supporter=0.0)),
+    (_ws(200, 4), dict(k=0.0, p_curious=0.7, p_enthusiastic=0.7, p_supporter=0.7,
+                       seeker_gives_up=False, max_rounds=5)),  # cut during the ads
+    (_ws(200, 5), dict(k=0.05, p_curious=0.6, p_enthusiastic=0.3, p_supporter=0.2,
+                       seeker_gives_up=False)),
+    (_ws(200, 6), dict(k=0.02, p_curious=0.4, p_enthusiastic=0.4, p_supporter=0.4,
+                       ad_share=1.0)),
+    (_ws(200, 7), dict(k=0.1, p_curious=0.5, p_enthusiastic=1.0, p_supporter=1.0,
+                       t_promote=0)),
+    (build_graph(120, [(i, i + 1) for i in range(79)]),  # 40 isolated nodes
+     dict(k=0.05, p_curious=0.8, p_enthusiastic=0.5, p_supporter=0.3, ad_share=0.1)),
+    (generate_ws(WsParams(), 9), dict(k=0.01, p_curious=0.5, p_enthusiastic=0.5,
+                                      p_supporter=0.0)),
+], ids=["mixed", "all-curious", "all-enthusiastic", "no-give-up-capped", "no-give-up",
+        "ad-share-1", "t-promote-0", "isolated", "default-ws"])
+def test_run_matches_reference(graph, overrides):
+    for seed in range(5):
+        cfg = SimConfig(**{"ad_rounds": 8, "ad_share": 0.01, "t_promote": 15,
+                           "seed": 1000 + seed, **overrides})
+        expected, ref_world = reference_run(graph, cfg)
+        assert run(graph, cfg) == expected, seed
+        w = init_population(graph, cfg)
+        while w.round < cfg.max_rounds and not w.is_quiescent():
+            step(w)
+        assert [w.agent(i) for i in range(w.n)] == [ref_world.agent(i) for i in range(w.n)]
+        assert w.ad_recipients == ref_world.ad_recipients
