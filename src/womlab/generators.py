@@ -13,7 +13,10 @@ length and a non-trivial clustering rate:
 
 All generators are pure functions of ``(params, seed)``: the same pair
 always returns a bit-identical graph.  Each documents the order in
-which it consumes draws from its stream.
+which it consumes draws from its stream.  Their scalar draws are those
+of ``np.random.Generator``, replayed from raw Philox output by
+:class:`~womlab.rng.PhiloxReplay`, which costs a fraction of numpy's
+per-call overhead.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, GraphMetrics, build_graph, compute_metrics, is_connected
-from .rng import RngSeed, SEED_MASK, make_rng
+from .rng import GEOMETRIC_SEARCH_MIN_P, PhiloxReplay, RngSeed, SEED_MASK, make_rng
 
 # Resampling cap when a rewired endpoint keeps colliding with existing
 # edges; past it the original edge is kept unchanged.
@@ -129,7 +132,7 @@ def generate_ws(params: WsParams, seed: RngSeed) -> Graph:
     adj = [set(row) for row in ((np.arange(n)[:, None] + offsets) % n).tolist()]
 
     coins = rng.random(2 * m)
-    integers = rng.integers
+    integers = PhiloxReplay(rng.bit_generator).integers
     # Coin 2k rewires the clockwise endpoint of edge k, coin 2k+1 its
     # anchor; only the coins below p are visited, in coin order.
     for f in np.flatnonzero(coins < p).tolist():
@@ -140,7 +143,7 @@ def generate_ws(params: WsParams, seed: RngSeed) -> Graph:
             anchor, moved = v_list[k], u_list[k]
         anchor_adj = adj[anchor]
         for _ in range(_WS_REWIRE_ATTEMPTS):
-            t = int(integers(0, n))
+            t = integers(n)
             if t == anchor or t in anchor_adj:
                 continue
             anchor_adj.remove(moved)
@@ -178,12 +181,30 @@ def generate_ff(params: FfParams, seed: RngSeed) -> Graph:
     Picks take ``Generator.choice(len, size=want, replace=False)``; a
     single pick takes ``Generator.integers(0, len)`` instead, which
     consumes the same draw and returns the same index.
+
+    The draws are those of ``np.random.Generator`` on the seed's Philox
+    stream, replayed by :class:`PhiloxReplay`.  When a geometric success
+    probability falls below ``GEOMETRIC_SEARCH_MIN_P`` (``fw_prob > 2/3``,
+    or ``2/3 < fw_prob * bw_factor < 1``), numpy samples it from an
+    exponential, which the replay does not reproduce, and the same draws
+    come from the ``Generator`` itself.
     """
     n, p, ambs = params.n, params.fw_prob, params.ambs
     pb = p * params.bw_factor
     rng = make_rng(seed)
-    integers, geometric, choice = rng.integers, rng.geometric, rng.choice
     q_fwd, q_bwd = 1.0 - p, 1.0 - pb
+    if q_fwd >= GEOMETRIC_SEARCH_MIN_P and (q_bwd >= GEOMETRIC_SEARCH_MIN_P or pb >= 1.0):
+        replay = PhiloxReplay(rng.bit_generator)
+        integers, geometric, choice = replay.integers, replay.geometric, replay.choice
+    else:
+        def integers(hi: int) -> int:
+            return int(rng.integers(0, hi))
+
+        def geometric(q: float) -> int:
+            return int(rng.geometric(q))
+
+        def choice(pop: int, k: int) -> list[int]:
+            return rng.choice(pop, size=k, replace=False).tolist()
     src: list[int] = []
     dst: list[int] = []
     out_adj: list[list[int]] = [[] for _ in range(n)]
@@ -194,17 +215,17 @@ def generate_ff(params: FfParams, seed: RngSeed) -> Graph:
         k = min(ambs, a)
         queue: list[int] = []
         while len(queue) < k:
-            b = int(integers(0, a))
+            b = integers(a)
             if visited[b] == a:
                 continue
             visited[b] = a
             queue.append(b)
         for b in queue:  # grows while burning: breadth-first order
-            n_fwd = int(geometric(q_fwd)) - 1 if p > 0.0 else 0
+            n_fwd = geometric(q_fwd) - 1 if p > 0.0 else 0
             if pb >= 1.0:
                 n_bwd = len(in_adj[b])
             else:
-                n_bwd = int(geometric(q_bwd)) - 1 if pb > 0.0 else 0
+                n_bwd = geometric(q_bwd) - 1 if pb > 0.0 else 0
             for candidates, want in ((out_adj[b], n_fwd), (in_adj[b], n_bwd)):
                 if want <= 0:
                     continue
@@ -212,10 +233,9 @@ def generate_ff(params: FfParams, seed: RngSeed) -> Graph:
                 if want >= len(fresh):
                     chosen = fresh
                 elif want == 1:
-                    chosen = [fresh[int(integers(0, len(fresh)))]]
+                    chosen = [fresh[integers(len(fresh))]]
                 else:
-                    chosen = [fresh[i] for i in choice(len(fresh), size=want,
-                                                       replace=False).tolist()]
+                    chosen = [fresh[i] for i in choice(len(fresh), want)]
                 for w in chosen:
                     visited[w] = a
                 queue.extend(chosen)
@@ -247,14 +267,15 @@ def generate_sii(params: SiiParams, seed: RngSeed) -> Graph:
         hit = rng.random(len(iu)) < p_in
         edges_u.append(iu[hit] + base)
         edges_v.append(iv[hit] + base)
+    integers = PhiloxReplay(rng.bit_generator).integers
     inter_u: list[int] = []
     inter_v: list[int] = []
     for g in range(k):
         for h in range(g + 1, k):
             seen: set[tuple[int, int]] = set()
             while len(seen) < n_inter:
-                a = g * size + int(rng.integers(0, size))
-                b = h * size + int(rng.integers(0, size))
+                a = g * size + integers(size)
+                b = h * size + integers(size)
                 if (a, b) in seen:
                     continue
                 seen.add((a, b))

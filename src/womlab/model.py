@@ -353,7 +353,8 @@ def step(world: World) -> None:
                 target = episode.pop()
                 if not episode:
                     world.n_seek_exhausted += 1
-                _deliver_awareness(world, target)
+                if awareness[target] == UNAWARE:
+                    _deliver_awareness(world, target)
                 if expertise[target] != IGNORANT:
                     _deliver_expertise(world, i)
                 else:
@@ -368,12 +369,13 @@ def step(world: World) -> None:
             left = world.promote_left[i]
             if left > 0 and episode:
                 target = episode.pop()
-                _deliver_awareness(world, target)
+                if awareness[target] == UNAWARE:
+                    _deliver_awareness(world, target)
                 # A target that took up seeking evaluates on its own
                 # terms; it will query its way back to expertise (this
                 # promoter is in its episode).  Everyone else receives
                 # the know-how on the spot.
-                if awareness[target] != SEEKING:
+                if awareness[target] != SEEKING and expertise[target] == IGNORANT:
                     _deliver_expertise(world, target)
                 left -= 1
                 world.promote_left[i] = left

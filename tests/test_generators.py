@@ -219,13 +219,49 @@ def reference_ff(params, seed):
     FfParams(fw_prob=0.0),
     FfParams(fw_prob=0.5, bw_factor=2.0, n=150),  # pb >= 1 burns every in-neighbor
     FfParams(n=1),
-], ids=["defaults", "ambs3", "tree", "burn-all-in", "n1"])
+    # Geometric success below 1/3: draws come from the numpy Generator.
+    FfParams(fw_prob=0.8, n=150),
+    FfParams(fw_prob=0.6, bw_factor=1.5, n=150),
+], ids=["defaults", "ambs3", "tree", "burn-all-in", "n1", "numpy-fwd", "numpy-bwd"])
 def test_ff_matches_reference_draw_for_draw(params):
     for seed in range(30):
         assert generate_ff(params, seed) == reference_ff(params, seed), seed
 
 
 # -- interconnected islands -----------------------------------------------------
+
+
+def reference_sii(params, seed):
+    """The numpy-draw form of ``generate_sii``, kept as its draw-order reference."""
+    k, size, p_in, n_inter = (params.n_islands, params.island_size,
+                              params.p_in, params.n_inter)
+    rng = make_rng(seed)
+    iu, iv = np.triu_indices(size, k=1)
+    edges = []
+    for g in range(k):
+        hit = rng.random(len(iu)) < p_in
+        edges.extend(zip((iu[hit] + g * size).tolist(), (iv[hit] + g * size).tolist()))
+    for g in range(k):
+        for h in range(g + 1, k):
+            seen = set()
+            while len(seen) < n_inter:
+                a = g * size + int(rng.integers(0, size))
+                b = h * size + int(rng.integers(0, size))
+                if (a, b) not in seen:
+                    seen.add((a, b))
+                    edges.append((a, b))
+    return build_graph(k * size, edges)
+
+
+@pytest.mark.parametrize("params", [
+    SiiParams(),
+    SiiParams(n_islands=6, island_size=5, p_in=0.5, n_inter=20),  # many resampled pairs
+    SiiParams(n_islands=3, island_size=1, p_in=0.5, n_inter=1),   # integers(0, 1): no draw
+    SiiParams(n_islands=1, island_size=30, p_in=0.3, n_inter=1),  # coins only
+], ids=["defaults", "dense-inter", "singletons", "one-island"])
+def test_sii_matches_reference_draw_for_draw(params):
+    for seed in range(30):
+        assert generate_sii(params, seed) == reference_sii(params, seed), seed
 
 
 def test_sii_default_node_count():
