@@ -125,7 +125,7 @@ class World:
 
     __slots__ = ("graph", "cfg", "rng", "n", "indptr", "indices",
                  "awareness", "expertise", "curious", "enthusiastic", "supporter",
-                 "unqueried", "unpushed", "pending", "promote_left",
+                 "busy", "unqueried", "unpushed", "pending", "promote_left",
                  "round", "counts", "n_seeking", "n_seek_exhausted", "n_proactive",
                  "ad_recipients")
 
@@ -134,14 +134,17 @@ class World:
         self.cfg = cfg
         self.rng = make_rng(cfg.seed)
         self.n = graph.node_count
-        indptr, self.indices = graph.csr_arrays()
+        indptr, indices = graph.csr_arrays()
         self.indptr = indptr.tolist()
+        self.indices = indices.tolist()
         n = self.n
         self.awareness = [UNAWARE] * n
         self.expertise = [IGNORANT] * n
         self.curious = [False] * n
         self.enthusiastic = [False] * n
         self.supporter = [False] * n
+        # busy[i]: seeking or proactive, the only states that act in a round.
+        self.busy = [False] * n
         self.unqueried: list[list[int] | None] = [None] * n
         self.unpushed: list[list[int] | None] = [None] * n
         self.pending: list[list[int]] = [[] for _ in range(n)]
@@ -163,6 +166,7 @@ class World:
         counts[new_aw * 3 + new_ex] += 1
         self.awareness[i] = new_aw
         self.expertise[i] = new_ex
+        self.busy[i] = new_aw == SEEKING or new_ex == PROACTIVE
 
     def agent(self, i: int) -> Agent:
         """Snapshot view of agent ``i``."""
@@ -199,9 +203,10 @@ class World:
         return self.n_seeking == self.n_seek_exhausted
 
     def _shuffled_neighbors(self, i: int) -> list[int]:
-        neighbors = self.indices[self.indptr[i]:self.indptr[i + 1]].copy()
+        # numpy shuffles a list with the same draws and swaps as an array.
+        neighbors = self.indices[self.indptr[i]:self.indptr[i + 1]]
         self.rng.shuffle(neighbors)
-        return neighbors.tolist()
+        return neighbors
 
     def _start_promoting(self, i: int) -> None:
         self.promote_left[i] = self.cfg.t_promote
@@ -235,7 +240,7 @@ def init_population(graph: Graph, cfg: SimConfig) -> World:
     return world
 
 
-def deliver_awareness(world: World, agent_id: int, cause: str = "contact") -> None:
+def deliver_awareness(world: World, agent_id: int) -> None:
     """Make an agent aware of the innovation (no-op if it already is).
 
     A supporter holding expertise starts promoting; any other expertise
@@ -244,14 +249,12 @@ def deliver_awareness(world: World, agent_id: int, cause: str = "contact") -> No
     order; an ignorant non-curious agent becomes passively aware.
     """
     world._check_id(agent_id)
-    _deliver_awareness(world, agent_id, cause)
+    _deliver_awareness(world, agent_id)
 
 
-def _deliver_awareness(world: World, agent_id: int, cause: str = "contact") -> None:
+def _deliver_awareness(world: World, agent_id: int) -> None:
     if world.awareness[agent_id] != UNAWARE:
         return
-    if cause == "ad":
-        world.ad_recipients.add(agent_id)
     expertise = world.expertise[agent_id]
     if expertise != IGNORANT:
         if world.supporter[agent_id] and expertise != PROACTIVE:
@@ -328,6 +331,12 @@ def step(world: World) -> None:
     (a seeking neighbor gathers it through its own queries instead);
     the promoter retires to knowledgeable when its push budget hits
     zero or no fresh neighbor remains.
+
+    Draw order: the advertisement's ``choice`` over the ascending
+    unaware pool (none when the whole pool is reached), then the
+    round's ``permutation`` (drawn even when nobody can act), then one
+    neighbor shuffle per started seeking or promotion episode, in
+    activation order, on numpy's list path of ``Generator.shuffle``.
     """
     cfg = world.cfg
     rng = world.rng
@@ -335,20 +344,30 @@ def step(world: World) -> None:
     if world.round <= cfg.ad_rounds:
         reach = round_half_up(cfg.ad_share * world.n)
         if reach:
-            awareness = world.awareness
-            pool = [i for i, aw in enumerate(awareness) if aw == UNAWARE]
-            if reach >= len(pool):
-                targets = pool
-            else:
-                picks = rng.choice(len(pool), size=reach, replace=False)
-                targets = [pool[j] for j in picks.tolist()]
+            pool = np.flatnonzero(np.frombuffer(bytes(world.awareness), np.uint8) == UNAWARE)
+            if reach < len(pool):
+                pool = pool[rng.choice(len(pool), size=reach, replace=False)]
+            targets = pool.tolist()
+            # Distinct unaware targets: none can make another aware.
+            world.ad_recipients.update(targets)
             for t in targets:
-                _deliver_awareness(world, t, cause="ad")
+                _deliver_awareness(world, t)
+    order = rng.permutation(world.n)
+    if not (world.n_seeking or world.n_proactive):
+        return  # nobody can act, so nobody can be activated
     awareness = world.awareness
     expertise = world.expertise
-    for i in rng.permutation(world.n).tolist():
+    busy = world.busy
+    unqueried = world.unqueried
+    unpushed = world.unpushed
+    pending = world.pending
+    promote_left = world.promote_left
+    seeker_gives_up = cfg.seeker_gives_up
+    for i in order.tolist():
+        if not busy[i]:
+            continue
         if awareness[i] == SEEKING:
-            episode = world.unqueried[i]
+            episode = unqueried[i]
             while episode and expertise[i] == IGNORANT:
                 target = episode.pop()
                 if not episode:
@@ -358,15 +377,15 @@ def step(world: World) -> None:
                 if expertise[target] != IGNORANT:
                     _deliver_expertise(world, i)
                 else:
-                    world.pending[target].append(i)
-            if awareness[i] == SEEKING and not world.unqueried[i] and cfg.seeker_gives_up:
+                    pending[target].append(i)
+            if awareness[i] == SEEKING and not unqueried[i] and seeker_gives_up:
                 world.n_seeking -= 1
                 world.n_seek_exhausted -= 1
-                world.unqueried[i] = None
+                unqueried[i] = None
                 world._move(i, AWARE, IGNORANT)
         elif expertise[i] == PROACTIVE:
-            episode = world.unpushed[i]
-            left = world.promote_left[i]
+            episode = unpushed[i]
+            left = promote_left[i]
             if left > 0 and episode:
                 target = episode.pop()
                 if awareness[target] == UNAWARE:
@@ -378,10 +397,10 @@ def step(world: World) -> None:
                 if awareness[target] != SEEKING and expertise[target] == IGNORANT:
                     _deliver_expertise(world, target)
                 left -= 1
-                world.promote_left[i] = left
+                promote_left[i] = left
             if left <= 0 or not episode:
-                world.unpushed[i] = None
-                world._move(i, world.awareness[i], KNOWLEDGEABLE)
+                unpushed[i] = None
+                world._move(i, awareness[i], KNOWLEDGEABLE)
                 world.n_proactive -= 1
 
 

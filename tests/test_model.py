@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from womlab.generators import WsParams, generate_validated, generate_ws
+from womlab.generators import (FfParams, SiiParams, WsParams, generate_ff, generate_sii,
+                               generate_ws)
 from womlab.graph import build_graph
 from womlab.model import (AWARE, IGNORANT, KNOWLEDGEABLE, PROACTIVE, SEEKING,
                           UNAWARE, SimConfig, SimResult, World, deliver_awareness,
@@ -325,6 +326,7 @@ def _check_legality(w):
             assert w.expertise[i] == IGNORANT
         if w.expertise[i] == PROACTIVE:
             assert w.promote_left[i] >= 0
+        assert w.busy[i] == (w.awareness[i] == SEEKING or w.expertise[i] == PROACTIVE)
     counts = [0] * 9
     for i in range(w.n):
         counts[w.awareness[i] * 3 + w.expertise[i]] += 1
@@ -534,8 +536,13 @@ def _ws(n, seed):
      dict(k=0.05, p_curious=0.8, p_enthusiastic=0.5, p_supporter=0.3, ad_share=0.1)),
     (generate_ws(WsParams(), 9), dict(k=0.01, p_curious=0.5, p_enthusiastic=0.5,
                                       p_supporter=0.0)),
+    # Hubs of degree up to 232: long neighbor shuffles.
+    (generate_ff(FfParams(), 4), dict(k=0.01, p_curious=0.5, p_enthusiastic=0.5,
+                                      p_supporter=0.1)),
+    (generate_sii(SiiParams(), 1), dict(k=0.1, p_curious=1.0, p_enthusiastic=0.5,
+                                        p_supporter=0.5)),
 ], ids=["mixed", "all-curious", "all-enthusiastic", "no-give-up-capped", "no-give-up",
-        "ad-share-1", "t-promote-0", "isolated", "default-ws"])
+        "ad-share-1", "t-promote-0", "isolated", "default-ws", "default-ff", "default-sii"])
 def test_run_matches_reference(graph, overrides):
     for seed in range(5):
         cfg = SimConfig(**{"ad_rounds": 8, "ad_share": 0.01, "t_promote": 15,

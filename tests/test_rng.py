@@ -73,3 +73,22 @@ def test_replay_integers_one_takes_no_draw():
     replay = PhiloxReplay(np.random.Philox(7))
     assert [replay.integers(1) for _ in range(5)] == [0] * 5
     assert replay.integers(999) == int(rng.integers(0, 999))
+
+
+def test_list_shuffle_matches_array_shuffle():
+    # model.World shuffles neighbor lists on numpy's untyped list path; the
+    # golden digests were made with the ndarray path.  Both must take the
+    # same draws and make the same swaps.
+    for seed in range(20):
+        for length in (0, 1, 2, 3, 10, 232, 1000):
+            array_rng, list_rng = make_rng(seed), make_rng(seed)
+            array = np.arange(length, dtype=np.int64)
+            array_rng.shuffle(array)
+            items = list(range(length))
+            list_rng.shuffle(items)
+            assert items == array.tolist(), (
+                f"numpy {np.__version__}: list shuffle differs from array shuffle "
+                f"(seed {seed}, length {length})")
+            assert list_rng.integers(0, 2 ** 32) == array_rng.integers(0, 2 ** 32), (
+                f"numpy {np.__version__}: list shuffle leaves the stream elsewhere "
+                f"(seed {seed}, length {length})")
