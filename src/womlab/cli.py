@@ -13,7 +13,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .generators import FfParams, GenerationError, SiiParams, WsParams, generate_validated
+from .generators import (MODEL_IDS, FfParams, GenerationError, SiiParams, WsParams,
+                         generate_validated)
 from .graph import compute_metrics
 from .model import (AWARENESS_NAMES, EXPERTISE_NAMES, STATE_COMBOS, SimConfig, run)
 from .reporting import (METRICS_HEADER, CsvFormatError, metrics_csv_row, panel_keys,
@@ -46,41 +47,42 @@ def _model_params(args):
 
 
 def _add_model_flags(parser: _Parser) -> None:
-    parser.add_argument("--model", required=True, choices=("ws", "ff", "sii"),
+    # Defaults come from the classes that own them; ws and ff share --n.
+    parser.add_argument("--model", required=True, choices=MODEL_IDS,
                         help="network family to generate")
-    parser.add_argument("--n", type=int, default=1000,
-                        help="node count for ws/ff (default 1000)")
-    parser.add_argument("--nei", type=int, default=5,
-                        help="ws: lattice neighbors per side (default 5)")
-    parser.add_argument("--p-rewire", type=float, default=0.055,
-                        help="ws: endpoint rewiring probability (default 0.055)")
-    parser.add_argument("--fw-prob", type=float, default=0.37,
-                        help="ff: forward burning probability (default 0.37)")
-    parser.add_argument("--bw-factor", type=float, default=0.9,
-                        help="ff: backward burning ratio (default 0.9)")
-    parser.add_argument("--ambs", type=int, default=1,
-                        help="ff: ambassadors per new node (default 1)")
-    parser.add_argument("--islands", type=int, default=24,
-                        help="sii: island count (default 24)")
-    parser.add_argument("--island-size", type=int, default=42,
-                        help="sii: nodes per island (default 42)")
-    parser.add_argument("--p-in", type=float, default=0.235,
-                        help="sii: intra-island edge probability (default 0.235)")
-    parser.add_argument("--inter", type=int, default=1,
-                        help="sii: links per island pair (default 1)")
-    parser.add_argument("--max-retries", type=int, default=10,
-                        help="connectivity retries before giving up (default 10)")
+    parser.add_argument("--n", type=int, default=WsParams.n,
+                        help="node count for ws/ff (default %(default)s)")
+    parser.add_argument("--nei", type=int, default=WsParams.nei,
+                        help="ws: lattice neighbors per side (default %(default)s)")
+    parser.add_argument("--p-rewire", type=float, default=WsParams.p_rewire,
+                        help="ws: endpoint rewiring probability (default %(default)s)")
+    parser.add_argument("--fw-prob", type=float, default=FfParams.fw_prob,
+                        help="ff: forward burning probability (default %(default)s)")
+    parser.add_argument("--bw-factor", type=float, default=FfParams.bw_factor,
+                        help="ff: backward burning ratio (default %(default)s)")
+    parser.add_argument("--ambs", type=int, default=FfParams.ambs,
+                        help="ff: ambassadors per new node (default %(default)s)")
+    parser.add_argument("--islands", type=int, default=SiiParams.n_islands,
+                        help="sii: island count (default %(default)s)")
+    parser.add_argument("--island-size", type=int, default=SiiParams.island_size,
+                        help="sii: nodes per island (default %(default)s)")
+    parser.add_argument("--p-in", type=float, default=SiiParams.p_in,
+                        help="sii: intra-island edge probability (default %(default)s)")
+    parser.add_argument("--inter", type=int, default=SiiParams.n_inter,
+                        help="sii: links per island pair (default %(default)s)")
+    parser.add_argument("--max-retries", type=int, default=SweepGrid.max_retries,
+                        help="connectivity retries before giving up (default %(default)s)")
 
 
 def _add_sim_flags(parser: _Parser) -> None:
-    parser.add_argument("--ad-rounds", type=int, default=8,
-                        help="advertisement campaign length in rounds (default 8)")
-    parser.add_argument("--ad-share", type=float, default=0.01,
-                        help="population share reached per ad round (default 0.01)")
-    parser.add_argument("--t-promote", type=int, default=15,
-                        help="push budget of a promoting agent (default 15)")
-    parser.add_argument("--max-rounds", type=int, default=1000,
-                        help="hard round cap (default 1000)")
+    parser.add_argument("--ad-rounds", type=int, default=SimConfig.ad_rounds,
+                        help="advertisement campaign length in rounds (default %(default)s)")
+    parser.add_argument("--ad-share", type=float, default=SimConfig.ad_share,
+                        help="population share reached per ad round (default %(default)s)")
+    parser.add_argument("--t-promote", type=int, default=SimConfig.t_promote,
+                        help="push budget of a promoting agent (default %(default)s)")
+    parser.add_argument("--max-rounds", type=int, default=SimConfig.max_rounds,
+                        help="hard round cap (default %(default)s)")
     parser.add_argument("--no-give-up", action="store_true",
                         help="exhausted seekers idle instead of settling for awareness")
 
@@ -101,7 +103,8 @@ def build_parser() -> _Parser:
                            description="Generate a connected network and write it as GraphML; "
                                        "its metrics are printed as one CSV line.")
     _add_model_flags(p_gen)
-    p_gen.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
+    p_gen.add_argument("--seed", type=int, default=0,
+                       help="generator seed (default %(default)s)")
     p_gen.add_argument("--out", required=True, help="output GraphML path")
 
     p_met = sub.add_parser("metrics", help="measure a GraphML network",
@@ -117,7 +120,8 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--enthusiastic", type=float, required=True,
                        help="enthusiastic trait share")
     p_sim.add_argument("--supporters", type=float, required=True, help="supporter trait share")
-    p_sim.add_argument("--seed", type=int, default=0, help="simulation seed (default 0)")
+    p_sim.add_argument("--seed", type=int, default=SimConfig.seed,
+                       help="simulation seed (default %(default)s)")
     p_sim.add_argument("--trace", help="write per-round state counts to this CSV path")
     _add_sim_flags(p_sim)
 
@@ -126,19 +130,21 @@ def build_parser() -> _Parser:
                                          "and write all run records as CSV.")
     _add_model_flags(p_sweep)
     p_sweep.add_argument("--k", type=_comma_floats, default=None,
-                         help="comma list of k values (default 0.01,0.1,0.5)")
+                         help="comma list of k values (default "
+                              + ",".join(map(str, SweepGrid.k_values)) + ")")
     p_sweep.add_argument("--supporters", type=_comma_floats, default=None,
-                         help="comma list of supporter shares (default 0.0,0.1,0.5)")
+                         help="comma list of supporter shares (default "
+                              + ",".join(map(str, SweepGrid.supporter_values)) + ")")
     p_sweep.add_argument("--curious", type=_comma_floats, default=None,
                          help="comma list of curious shares (default 0.00..1.00 step 0.05)")
     p_sweep.add_argument("--enthusiastic", type=_comma_floats, default=None,
                          help="comma list of enthusiastic shares (default 0.00..1.00 step 0.05)")
-    p_sweep.add_argument("--reps", type=int, default=10,
-                         help="replicates per cell (default 10)")
-    p_sweep.add_argument("--base-seed", type=int, default=0,
-                         help="seed of the first run (default 0)")
+    p_sweep.add_argument("--reps", type=int, default=SweepGrid.replications,
+                         help="replicates per cell (default %(default)s)")
+    p_sweep.add_argument("--base-seed", type=int, default=SweepGrid.base_seed,
+                         help="seed of the first run (default %(default)s)")
     p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="parallel worker processes (default 1)")
+                         help="parallel worker processes (default %(default)s)")
     p_sweep.add_argument("--out", required=True, help="output records CSV path")
 
     p_rep = sub.add_parser("report", help="render heatmaps from run records",

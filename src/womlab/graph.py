@@ -54,7 +54,7 @@ class Graph:
     """
 
     __slots__ = ("node_count", "edge_count", "_u", "_v", "_indptr", "_indices",
-                 "_adjacency", "_distance_summary")
+                 "_distance_summary")
 
     def __init__(self, node_count: int, edge_list: Iterable[tuple[int, int]]):
         node_count = int(node_count)
@@ -98,7 +98,6 @@ class Graph:
         self._v = v
         self._indptr = indptr
         self._indices = indices
-        self._adjacency = None
         self._distance_summary = None
 
     # -- queries ---------------------------------------------------------
@@ -108,19 +107,11 @@ class Graph:
         return list(zip(self._u.tolist(), self._v.tolist()))
 
     def neighbors(self, node: int) -> list[int]:
-        return self.adjacency[node]
+        """Sorted neighbor ids of ``node``."""
+        return self._indices[self._indptr[node]:self._indptr[node + 1]].tolist()
 
     def degree(self, node: int) -> int:
         return int(self._indptr[node + 1] - self._indptr[node])
-
-    @property
-    def adjacency(self) -> list[list[int]]:
-        """Per-node sorted neighbor lists (built lazily, then cached)."""
-        if self._adjacency is None:
-            idx = self._indices.tolist()
-            ptr = self._indptr.tolist()
-            self._adjacency = [idx[ptr[i]:ptr[i + 1]] for i in range(self.node_count)]
-        return self._adjacency
 
     def csr_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return self._indptr, self._indices

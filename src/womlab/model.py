@@ -23,8 +23,7 @@ neighbor that reacts by seeking gathers the expertise through its own
 queries instead.  The run ends at quiescence (no seeker has a move
 left, nobody promotes, advertising is over) or at the round cap.
 
-State is kept in parallel per-agent lists inside :class:`World`; the
-:class:`Agent` snapshot view exists for inspection and tests.  A
+State is kept in parallel per-agent lists inside :class:`World`.  A
 :class:`World` is single-threaded, but independent worlds share nothing
 and may run concurrently.
 """
@@ -49,25 +48,6 @@ EXPERTISE_NAMES = ("ignorant", "proactive", "knowledgeable")
 # (awareness, expertise) pairs in the order used by time-series rows.
 STATE_COMBOS = tuple((aw, ex) for aw in (UNAWARE, SEEKING, AWARE)
                      for ex in (IGNORANT, PROACTIVE, KNOWLEDGEABLE))
-
-
-@dataclass(frozen=True)
-class Traits:
-    curious: bool
-    enthusiastic: bool
-    supporter: bool
-
-
-@dataclass(frozen=True)
-class Agent:
-    """Read-only snapshot of one agent's state."""
-
-    awareness: int
-    expertise: int
-    traits: Traits
-    pending_requesters: tuple[int, ...]
-    unqueried_neighbors: tuple[int, ...] | None
-    promote_rounds_left: int
 
 
 @dataclass(frozen=True)
@@ -126,8 +106,7 @@ class World:
     __slots__ = ("graph", "cfg", "rng", "n", "indptr", "indices",
                  "awareness", "expertise", "curious", "enthusiastic", "supporter",
                  "busy", "unqueried", "unpushed", "pending", "promote_left",
-                 "round", "counts", "n_seeking", "n_seek_exhausted", "n_proactive",
-                 "ad_recipients")
+                 "round", "counts", "n_seek_exhausted", "ad_recipients")
 
     def __init__(self, graph: Graph, cfg: SimConfig):
         self.graph = graph
@@ -153,9 +132,7 @@ class World:
         # counts[aw * 3 + ex], kept in sync with every transition.
         self.counts = [0] * 9
         self.counts[UNAWARE * 3 + IGNORANT] = n
-        self.n_seeking = 0
         self.n_seek_exhausted = 0
-        self.n_proactive = 0
         self.ad_recipients: set[int] = set()
 
     # -- bookkeeping -------------------------------------------------------
@@ -167,19 +144,6 @@ class World:
         self.awareness[i] = new_aw
         self.expertise[i] = new_ex
         self.busy[i] = new_aw == SEEKING or new_ex == PROACTIVE
-
-    def agent(self, i: int) -> Agent:
-        """Snapshot view of agent ``i``."""
-        self._check_id(i)
-        uq = self.unqueried[i]
-        return Agent(
-            awareness=self.awareness[i],
-            expertise=self.expertise[i],
-            traits=Traits(self.curious[i], self.enthusiastic[i], self.supporter[i]),
-            pending_requesters=tuple(self.pending[i]),
-            unqueried_neighbors=None if uq is None else tuple(uq),
-            promote_rounds_left=self.promote_left[i],
-        )
 
     def _check_id(self, i: int) -> None:
         if not (isinstance(i, (int, np.integer)) and 0 <= i < self.n):
@@ -196,11 +160,13 @@ class World:
 
     def is_quiescent(self) -> bool:
         """No promoter, no seeker with a move left, advertising over."""
-        if self.round < self.cfg.ad_rounds or self.n_proactive:
+        counts = self.counts
+        if self.round < self.cfg.ad_rounds or any(counts[PROACTIVE::3]):
             return False
+        seeking = counts[SEEKING * 3 + IGNORANT]  # a seeker is always ignorant
         if self.cfg.seeker_gives_up:
-            return self.n_seeking == 0
-        return self.n_seeking == self.n_seek_exhausted
+            return seeking == 0
+        return seeking == self.n_seek_exhausted
 
     def _shuffled_neighbors(self, i: int) -> list[int]:
         # numpy shuffles a list with the same draws and swaps as an array.
@@ -211,7 +177,6 @@ class World:
     def _start_promoting(self, i: int) -> None:
         self.promote_left[i] = self.cfg.t_promote
         self.unpushed[i] = self._shuffled_neighbors(i)
-        self.n_proactive += 1
 
 
 def init_population(graph: Graph, cfg: SimConfig) -> World:
@@ -266,7 +231,6 @@ def _deliver_awareness(world: World, agent_id: int) -> None:
         world._move(agent_id, SEEKING, IGNORANT)
         episode = world._shuffled_neighbors(agent_id)
         world.unqueried[agent_id] = episode
-        world.n_seeking += 1
         if not episode:
             world.n_seek_exhausted += 1
     else:
@@ -300,7 +264,6 @@ def _deliver_expertise(world: World, agent_id: int) -> None:
             new_ex = KNOWLEDGEABLE
         aw = world.awareness[i]
         if aw == SEEKING:
-            world.n_seeking -= 1
             if not world.unqueried[i]:
                 world.n_seek_exhausted -= 1
             world.unqueried[i] = None
@@ -353,7 +316,8 @@ def step(world: World) -> None:
             for t in targets:
                 _deliver_awareness(world, t)
     order = rng.permutation(world.n)
-    if not (world.n_seeking or world.n_proactive):
+    counts = world.counts
+    if not (counts[SEEKING * 3 + IGNORANT] or any(counts[PROACTIVE::3])):
         return  # nobody can act, so nobody can be activated
     awareness = world.awareness
     expertise = world.expertise
@@ -379,7 +343,6 @@ def step(world: World) -> None:
                 else:
                     pending[target].append(i)
             if awareness[i] == SEEKING and not unqueried[i] and seeker_gives_up:
-                world.n_seeking -= 1
                 world.n_seek_exhausted -= 1
                 unqueried[i] = None
                 world._move(i, AWARE, IGNORANT)
@@ -401,7 +364,6 @@ def step(world: World) -> None:
             if left <= 0 or not episode:
                 unpushed[i] = None
                 world._move(i, awareness[i], KNOWLEDGEABLE)
-                world.n_proactive -= 1
 
 
 def run(graph: Graph, cfg: SimConfig) -> SimResult:

@@ -16,7 +16,7 @@ import xml.parsers.expat
 from pathlib import Path
 
 from .graph import Graph, GraphMetrics, build_graph
-from .sweep import CellSummary, RunRecord
+from .sweep import CellSummary, RunRecord, cell_key
 
 RECORDS_HEADER = ("network_model,network_seed,sim_seed,k,curious,enthusiastic,"
                   "supporters,final_aware,final_both,rounds,hit_max_rounds,"
@@ -279,11 +279,12 @@ def render_heatmap(summaries: list[CellSummary],
     (1); every missing grid cell is reported.
     """
     model, k, supporters = panel_key
+    wanted = (model, _fmt(k), _fmt(supporters))
     panel = {}
     for s in summaries:
-        if (s.network_model == model and f"{s.k:.6f}" == f"{k:.6f}"
-                and f"{s.supporters:.6f}" == f"{supporters:.6f}"):
-            key = (f"{s.curious:.6f}", f"{s.enthusiastic:.6f}")
+        cell = cell_key(s)
+        if cell[:3] == wanted:
+            key = cell[3:]
             if key in panel:
                 raise HeatmapError(f"duplicate cell curious={key[0]} enthusiastic={key[1]}")
             panel[key] = s
@@ -322,6 +323,5 @@ def panel_keys(summaries: list[CellSummary]) -> list[tuple[str, float, float]]:
     """Distinct (network_model, k, supporters) panels, sorted."""
     seen = {}
     for s in summaries:
-        seen[(s.network_model, f"{s.k:.6f}", f"{s.supporters:.6f}")] = (
-            s.network_model, s.k, s.supporters)
+        seen[cell_key(s)[:3]] = (s.network_model, s.k, s.supporters)
     return [seen[key] for key in sorted(seen)]

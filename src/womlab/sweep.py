@@ -224,11 +224,12 @@ def failure_count(records: list[RunRecord]) -> int:
     return sum(1 for r in records if r.failed)
 
 
-def _cell_key(record: RunRecord) -> tuple[str, str, str, str, str]:
-    # Float cell coordinates are grouped by their 6-decimal rendering,
-    # the same precision the CSV layer writes.
-    return (record.network_model, f"{record.k:.6f}", f"{record.supporters:.6f}",
-            f"{record.curious:.6f}", f"{record.enthusiastic:.6f}")
+def cell_key(cell: RunRecord | CellSummary) -> tuple[str, str, str, str, str]:
+    """Identity of a record's or summary's grid cell: the model, then
+    k, supporters, curious and enthusiastic at the 6 decimals the CSV
+    layer writes, so values that print alike fall into one cell."""
+    return (cell.network_model, f"{cell.k:.6f}", f"{cell.supporters:.6f}",
+            f"{cell.curious:.6f}", f"{cell.enthusiastic:.6f}")
 
 
 def aggregate(records: list[RunRecord]) -> list[CellSummary]:
@@ -241,7 +242,7 @@ def aggregate(records: list[RunRecord]) -> list[CellSummary]:
         raise SweepError("cannot aggregate failed run records")
     groups: dict[tuple, list[RunRecord]] = {}
     for record in records:
-        groups.setdefault(_cell_key(record), []).append(record)
+        groups.setdefault(cell_key(record), []).append(record)
     if not groups:
         return []
     sizes = {len(g) for g in groups.values()}

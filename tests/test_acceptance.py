@@ -21,6 +21,7 @@ from womlab.reporting import (read_graphml, read_records_csv, records_csv_string
 from womlab.sweep import SweepGrid, aggregate, failure_count, run_sweep
 
 from test_graph import oracle_clustering, oracle_path_stats, random_graph
+from test_model import agent_lists
 
 SEEDS = 30
 BASE_SEED = 424242
@@ -233,9 +234,9 @@ def test_c7_property_suites(tmp_path):
                 if w.awareness[i] == SEEKING:
                     assert w.curious[i] and w.expertise[i] == IGNORANT
         assert w.is_quiescent()
-        snapshot = [w.agent(i) for i in range(50)]
+        snapshot = agent_lists(w)
         step(w)
-        assert [w.agent(i) for i in range(50)] == snapshot
+        assert agent_lists(w) == snapshot
 
     # GraphML and records-CSV round-trips
     g = generate("ff", FfParams(n=80), 3)

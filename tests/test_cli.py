@@ -1,13 +1,17 @@
 """Command-line interface: flags, exit codes, determinism, file outputs."""
 
 import itertools
+import types
 
 import pytest
 
-from womlab.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
+import womlab
+from womlab.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, _model_params, build_parser, main
+from womlab.generators import MODEL_IDS, FfParams, WsParams, default_params
 from womlab.graph import build_graph
+from womlab.model import SimConfig
 from womlab.reporting import write_graphml, write_records_csv
-from womlab.sweep import run_sweep
+from womlab.sweep import SweepGrid, run_sweep
 from test_sweep import small_grid
 
 
@@ -242,3 +246,33 @@ def test_help_exits_zero(sub, capsys):
 def test_unknown_subcommand_usage_error(capsys):
     code, _, _ = run_cli(capsys, "frobnicate")
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("model", MODEL_IDS)
+def test_model_flag_defaults_are_default_params(model):
+    args = build_parser().parse_args(["generate", "--model", model, "--out", "x"])
+    assert _model_params(args) == default_params(model)
+
+
+def test_ws_and_ff_share_node_count_default():
+    assert WsParams.n == FfParams.n  # both read --n
+
+
+def test_simulate_and_sweep_flag_defaults_are_class_defaults():
+    parser = build_parser()
+    sim = parser.parse_args(["simulate", "--network", "x", "--k", "0", "--curious", "0",
+                             "--enthusiastic", "0", "--supporters", "0"])
+    cfg = SimConfig(k=0, p_curious=0, p_enthusiastic=0, p_supporter=0)
+    assert (sim.ad_rounds, sim.ad_share, sim.t_promote, not sim.no_give_up,
+            sim.max_rounds, sim.seed) == (cfg.ad_rounds, cfg.ad_share, cfg.t_promote,
+                                          cfg.seeker_gives_up, cfg.max_rounds, cfg.seed)
+    sweep = parser.parse_args(["sweep", "--model", "ws", "--out", "x"])
+    grid = SweepGrid(network_model="ws")
+    assert (sweep.reps, sweep.base_seed, sweep.max_retries) == (
+        grid.replications, grid.base_seed, grid.max_retries)
+
+
+def test_package_exports_every_public_name():
+    public = {name for name, value in vars(womlab).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert set(womlab.__all__) == public

@@ -1,5 +1,7 @@
 """Agent-model rules, invariants and end-to-end run behaviour."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,15 @@ def line_graph(n):
 def make_world(graph, **overrides):
     cfg = SimConfig(**{**BASE, **overrides})
     return init_population(graph, cfg)
+
+
+PER_AGENT_LISTS = ("awareness", "expertise", "curious", "enthusiastic", "supporter", "busy",
+                   "unqueried", "unpushed", "pending", "promote_left")
+
+
+def agent_lists(w):
+    """Deep copy of every per-agent list, for whole-world comparisons."""
+    return copy.deepcopy([getattr(w, name) for name in PER_AGENT_LISTS])
 
 
 # -- configuration ------------------------------------------------------------
@@ -80,16 +91,15 @@ def test_awareness_curious_starts_seeking():
     w = make_world(line_graph(3))
     w.curious[1] = True
     deliver_awareness(w, 1)
-    agent = w.agent(1)
-    assert agent.awareness == SEEKING
-    assert sorted(agent.unqueried_neighbors) == [0, 2]
+    assert w.awareness[1] == SEEKING
+    assert sorted(w.unqueried[1]) == [0, 2]
 
 
 def test_awareness_noncurious_becomes_aware():
     w = make_world(line_graph(3))
     deliver_awareness(w, 1)
-    assert w.agent(1).awareness == AWARE
-    assert w.agent(1).expertise == IGNORANT
+    assert w.awareness[1] == AWARE
+    assert w.expertise[1] == IGNORANT
 
 
 def test_awareness_expert_supporter_promotes():
@@ -97,27 +107,26 @@ def test_awareness_expert_supporter_promotes():
     w._move(1, UNAWARE, KNOWLEDGEABLE)
     w.supporter[1] = True
     deliver_awareness(w, 1)
-    agent = w.agent(1)
-    assert agent.awareness == AWARE
-    assert agent.expertise == PROACTIVE
-    assert agent.promote_rounds_left == 4
+    assert w.awareness[1] == AWARE
+    assert w.expertise[1] == PROACTIVE
+    assert w.promote_left[1] == 4
 
 
 def test_awareness_expert_non_supporter_stays_passive():
     w = make_world(line_graph(3))
     w._move(1, UNAWARE, KNOWLEDGEABLE)
     deliver_awareness(w, 1)
-    assert w.agent(1).awareness == AWARE
-    assert w.agent(1).expertise == KNOWLEDGEABLE
+    assert w.awareness[1] == AWARE
+    assert w.expertise[1] == KNOWLEDGEABLE
 
 
 def test_awareness_idempotent():
     w = make_world(line_graph(3))
     w.curious[1] = True
     deliver_awareness(w, 1)
-    first = w.agent(1)
+    first = agent_lists(w)
     deliver_awareness(w, 1)
-    assert w.agent(1) == first
+    assert agent_lists(w) == first
 
 
 def test_awareness_unknown_agent():
@@ -137,10 +146,9 @@ def test_expertise_seeker_enthusiastic_promotes():
     w.enthusiastic[1] = True
     deliver_awareness(w, 1)
     deliver_expertise(w, 1)
-    agent = w.agent(1)
-    assert agent.awareness == AWARE
-    assert agent.expertise == PROACTIVE
-    assert agent.promote_rounds_left == 6
+    assert w.awareness[1] == AWARE
+    assert w.expertise[1] == PROACTIVE
+    assert w.promote_left[1] == 6
 
 
 def test_expertise_seeker_passive_becomes_knowledgeable():
@@ -148,15 +156,15 @@ def test_expertise_seeker_passive_becomes_knowledgeable():
     w.curious[1] = True
     deliver_awareness(w, 1)
     deliver_expertise(w, 1)
-    assert w.agent(1).awareness == AWARE
-    assert w.agent(1).expertise == KNOWLEDGEABLE
+    assert w.awareness[1] == AWARE
+    assert w.expertise[1] == KNOWLEDGEABLE
 
 
 def test_expertise_idempotent():
     w = make_world(line_graph(3))
     w._move(1, UNAWARE, KNOWLEDGEABLE)
     deliver_expertise(w, 1)
-    assert w.agent(1).expertise == KNOWLEDGEABLE
+    assert w.expertise[1] == KNOWLEDGEABLE
 
 
 def test_gathering_chain_backpropagates():
@@ -181,8 +189,8 @@ def test_chain_survives_give_up():
     w.curious[0] = True
     deliver_awareness(w, 0)
     step(w)  # 0 queries 1 (no expertise), exhausts, gives up
-    assert w.agent(0).awareness == AWARE
-    assert 0 in w.agent(1).pending_requesters
+    assert w.awareness[0] == AWARE
+    assert 0 in w.pending[1]
     deliver_expertise(w, 1)
     assert w.expertise[0] != IGNORANT
 
@@ -202,9 +210,9 @@ def test_long_chain_no_recursion_limit():
 def test_step_identity_when_quiescent():
     g = line_graph(5)
     w = make_world(g, k=0.4)
-    before = [w.agent(i) for i in range(5)]
+    before = agent_lists(w)
     step(w)
-    assert [w.agent(i) for i in range(5)] == before
+    assert agent_lists(w) == before
     assert w.is_quiescent()
 
 
@@ -223,9 +231,9 @@ def test_step_promoter_lifetime_expiry():
     w._move(1, UNAWARE, KNOWLEDGEABLE)
     w.supporter[1] = True
     deliver_awareness(w, 1)
-    assert w.agent(1).expertise == PROACTIVE
+    assert w.expertise[1] == PROACTIVE
     step(w)
-    assert w.agent(1).expertise == KNOWLEDGEABLE
+    assert w.expertise[1] == KNOWLEDGEABLE
 
 
 def test_step_promoter_pushes_both_to_passive_target():
@@ -331,6 +339,8 @@ def _check_legality(w):
     for i in range(w.n):
         counts[w.awareness[i] * 3 + w.expertise[i]] += 1
     assert counts == w.counts
+    assert w.n_seek_exhausted == sum(1 for i in range(w.n)
+                                     if w.awareness[i] == SEEKING and not w.unqueried[i])
 
 
 def test_state_machine_invariants_200_random_configs():
@@ -352,9 +362,9 @@ def test_state_machine_invariants_200_random_configs():
             _check_legality(w)
         if not w.is_quiescent():
             continue  # truncated runs have no stability guarantee
-        snapshot = [w.agent(i) for i in range(w.n)]
+        snapshot = agent_lists(w)
         step(w)
-        assert [w.agent(i) for i in range(w.n)] == snapshot, trial
+        assert agent_lists(w) == snapshot, trial
         assert w.both_count() <= w.aware_count()
 
 
@@ -398,7 +408,7 @@ def test_reachability_oracle_on_disconnected_graphs():
 
 
 def _ref_shuffled_neighbors(w, i):
-    neighbors = np.asarray(w.graph.adjacency[i], dtype=np.int64)
+    neighbors = np.asarray(w.graph.neighbors(i), dtype=np.int64)
     w.rng.shuffle(neighbors)
     return neighbors.tolist()
 
@@ -406,7 +416,6 @@ def _ref_shuffled_neighbors(w, i):
 def _ref_start_promoting(w, i):
     w.promote_left[i] = w.cfg.t_promote
     w.unpushed[i] = _ref_shuffled_neighbors(w, i)
-    w.n_proactive += 1
 
 
 def _ref_deliver_awareness(w, i, cause="contact"):
@@ -426,7 +435,6 @@ def _ref_deliver_awareness(w, i, cause="contact"):
         w._move(i, SEEKING, IGNORANT)
         episode = _ref_shuffled_neighbors(w, i)
         w.unqueried[i] = episode
-        w.n_seeking += 1
         if not episode:
             w.n_seek_exhausted += 1
     else:
@@ -447,7 +455,6 @@ def _ref_deliver_expertise(w, agent_id):
             new_ex = KNOWLEDGEABLE
         aw = w.awareness[i]
         if aw == SEEKING:
-            w.n_seeking -= 1
             if not w.unqueried[i]:
                 w.n_seek_exhausted -= 1
             w.unqueried[i] = None
@@ -485,7 +492,6 @@ def reference_step(w):
                 else:
                     w.pending[target].append(i)
             if w.awareness[i] == SEEKING and not w.unqueried[i] and cfg.seeker_gives_up:
-                w.n_seeking -= 1
                 w.n_seek_exhausted -= 1
                 w.unqueried[i] = None
                 w._move(i, AWARE, IGNORANT)
@@ -502,7 +508,6 @@ def reference_step(w):
             if left <= 0 or not episode:
                 w.unpushed[i] = None
                 w._move(i, w.awareness[i], KNOWLEDGEABLE)
-                w.n_proactive -= 1
 
 
 def reference_run(graph, cfg):
@@ -552,5 +557,5 @@ def test_run_matches_reference(graph, overrides):
         w = init_population(graph, cfg)
         while w.round < cfg.max_rounds and not w.is_quiescent():
             step(w)
-        assert [w.agent(i) for i in range(w.n)] == [ref_world.agent(i) for i in range(w.n)]
+        assert agent_lists(w) == agent_lists(ref_world)
         assert w.ad_recipients == ref_world.ad_recipients
