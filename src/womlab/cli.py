@@ -17,7 +17,7 @@ from .generators import (MODEL_IDS, FfParams, GenerationError, SiiParams, WsPara
                          generate_validated)
 from .graph import compute_metrics
 from .model import (AWARENESS_NAMES, EXPERTISE_NAMES, STATE_COMBOS, SimConfig, run)
-from .reporting import (METRICS_HEADER, CsvFormatError, metrics_csv_row, panel_keys,
+from .reporting import (METRICS_HEADER, CsvFormatError, metrics_csv_row, panels,
                         read_graphml, read_records_csv, records_csv_string,
                         render_heatmap, write_graphml, write_records_csv)
 from .sweep import SweepGrid, aggregate, failure_count, run_record, run_sweep
@@ -217,8 +217,8 @@ def cmd_report(args) -> int:
     summaries = aggregate(records)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for model, k, supporters in panel_keys(summaries):
-        csv_text, ppm_text = render_heatmap(summaries, (model, k, supporters))
+    for (model, k, supporters), panel in panels(summaries):
+        csv_text, ppm_text = render_heatmap(panel, (model, k, supporters))
         stem = f"heatmap_{model}_k{k:g}_s{supporters:g}"
         (out_dir / f"{stem}.csv").write_text(csv_text, encoding="utf-8")
         (out_dir / f"{stem}.ppm").write_text(ppm_text, encoding="utf-8")

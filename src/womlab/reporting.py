@@ -188,7 +188,14 @@ def write_records_csv(records: list[RunRecord], destination) -> int:
     return len(data)
 
 
+# The two spellings of ``hit_max_rounds``; anything else is a format error.
+_BOOLS = {"true": True, "false": False}
+
+
 def read_records_csv(source) -> list[RunRecord]:
+    """Parse a records CSV; blank lines are skipped, and a row with the
+    wrong field count or a ``hit_max_rounds`` other than ``true`` or
+    ``false`` is rejected with its line number in the file."""
     lines = Path(source).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != RECORDS_HEADER:
         raise CsvFormatError("records CSV header does not match the schema")
@@ -199,25 +206,21 @@ def read_records_csv(source) -> list[RunRecord]:
         parts = line.split(",")
         if len(parts) != 17:
             raise CsvFormatError(f"records CSV line {lineno}: expected 17 fields")
+        (model, network_seed, sim_seed, k, curious, enthusiastic, supporters, final_aware,
+         final_both, rounds, hit_max_rounds, nodes, edges, density, avg_path_length,
+         clustering, diameter) = parts
+        try:
+            hit_max_rounds = _BOOLS[hit_max_rounds]
+        except KeyError:
+            raise CsvFormatError(f"records CSV line {lineno}: hit_max_rounds must be "
+                                 f"true or false, not {hit_max_rounds!r}") from None
+        # RunRecord's fields are in header order.
         records.append(RunRecord(
-            network_model=parts[0],
-            network_seed=int(parts[1]),
-            sim_seed=int(parts[2]),
-            k=float(parts[3]),
-            curious=float(parts[4]),
-            enthusiastic=float(parts[5]),
-            supporters=float(parts[6]),
-            final_aware=float(parts[7]),
-            final_both=float(parts[8]),
-            rounds=int(parts[9]),
-            hit_max_rounds=parts[10] == "true",
-            nodes=int(parts[11]),
-            edges=int(parts[12]),
-            density=float(parts[13]),
-            avg_path_length=None if parts[14] == "NA" else float(parts[14]),
-            clustering=float(parts[15]),
-            diameter=None if parts[16] == "NA" else int(parts[16]),
-        ))
+            model, int(network_seed), int(sim_seed), float(k), float(curious),
+            float(enthusiastic), float(supporters), float(final_aware), float(final_both),
+            int(rounds), hit_max_rounds, int(nodes), int(edges), float(density),
+            None if avg_path_length == "NA" else float(avg_path_length), float(clustering),
+            None if diameter == "NA" else int(diameter)))
     return records
 
 
@@ -277,6 +280,10 @@ def render_heatmap(summaries: list[CellSummary],
     PPM image puts low enthusiastic at the bottom, like a plot.  Cell
     values are mean_final_both mapped linearly from dark (0) to bright
     (1); every missing grid cell is reported.
+
+    Summaries of other panels are skipped, but each one is still keyed:
+    pass only the panel's own summaries (see ``panels``) to keep the cost
+    proportional to the panel.
     """
     model, k, supporters = panel_key
     wanted = (model, _fmt(k), _fmt(supporters))
@@ -312,16 +319,24 @@ def render_heatmap(summaries: list[CellSummary],
     ppm_lines = ["P3", f"{width} {height}", "255"]
     for e in reversed(enth_axis):
         row_colors = [_heat_color(values[(c, e)]) for c in curious_axis]
-        pixel_row = [f"{r} {g} {b}" for (r, g, b) in row_colors for _ in range(cell_px)]
-        for _ in range(cell_px):
-            ppm_lines.extend(pixel_row)
+        # One image row's text, repeated for the cell_px rows of the block.
+        pixel_row = "\n".join([f"{r} {g} {b}" for (r, g, b) in row_colors
+                               for _ in range(cell_px)])
+        ppm_lines.extend([pixel_row] * cell_px)
     ppm_text = "\n".join(ppm_lines) + "\n"
     return csv_text, ppm_text
 
 
-def panel_keys(summaries: list[CellSummary]) -> list[tuple[str, float, float]]:
-    """Distinct (network_model, k, supporters) panels, sorted."""
-    seen = {}
+def panels(summaries: list[CellSummary]
+           ) -> list[tuple[tuple[str, float, float], list[CellSummary]]]:
+    """The summaries grouped by (network_model, k, supporters) panel, as
+    ``(panel_key, panel_summaries)`` pairs in sorted panel order.
+
+    Panels are told apart by ``cell_key``; a panel keeps its summaries in
+    input order and takes its key's values from the last of them.
+    """
+    groups: dict[tuple, list[CellSummary]] = {}
     for s in summaries:
-        seen[cell_key(s)[:3]] = (s.network_model, s.k, s.supporters)
-    return [seen[key] for key in sorted(seen)]
+        groups.setdefault(cell_key(s)[:3], []).append(s)
+    return [((group[-1].network_model, group[-1].k, group[-1].supporters), group)
+            for _, group in sorted(groups.items())]

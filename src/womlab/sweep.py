@@ -235,14 +235,27 @@ def cell_key(cell: RunRecord | CellSummary) -> tuple[str, str, str, str, str]:
 def aggregate(records: list[RunRecord]) -> list[CellSummary]:
     """Collapse records into one summary per cell (sample sd, n-1).
 
-    Requires complete cells: failed records are rejected, and all cells
-    must hold the same number of replicates.
+    A cell is what ``cell_key`` names, so records whose values print
+    alike fall into one cell; ``cell_key`` runs once per distinct value
+    tuple.  Each cell's sums run over its records in input order, and its
+    summary takes the cell values of its first record.  Requires complete
+    cells: failed records are rejected, and all cells must hold the same
+    number of replicates.
     """
     if any(r.failed for r in records):
         raise SweepError("cannot aggregate failed run records")
     groups: dict[tuple, list[RunRecord]] = {}
+    by_values: dict[tuple, list[RunRecord]] = {}
     for record in records:
-        groups.setdefault(cell_key(record), []).append(record)
+        # ``x or str(x)`` keeps 0.0 and -0.0 apart, as cell_key does.
+        values = (record.network_model, record.k or str(record.k),
+                  record.supporters or str(record.supporters),
+                  record.curious or str(record.curious),
+                  record.enthusiastic or str(record.enthusiastic))
+        group = by_values.get(values)
+        if group is None:
+            group = by_values[values] = groups.setdefault(cell_key(record), [])
+        group.append(record)
     if not groups:
         return []
     sizes = {len(g) for g in groups.values()}

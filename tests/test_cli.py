@@ -12,7 +12,7 @@ from womlab.graph import build_graph
 from womlab.model import SimConfig
 from womlab.reporting import write_graphml, write_records_csv
 from womlab.sweep import SweepGrid, run_sweep
-from test_sweep import small_grid
+from test_sweep import record, small_grid
 
 
 def run_cli(capsys, *argv):
@@ -231,6 +231,21 @@ def test_report_incomplete_grid_exits_2(tmp_path, capsys):
                            "--out-dir", str(tmp_path / "heat"))
     assert code == EXIT_RUNTIME
     assert "missing" in err
+
+
+@pytest.mark.parametrize("column,value", [(9, "ten"), (10, "maybe")],
+                         ids=["rounds", "hit_max_rounds"])
+def test_report_bad_field_exits_2(tmp_path, capsys, column, value):
+    csv_path = tmp_path / "records.csv"
+    write_records_csv([record(0.5)], csv_path)
+    header, row = csv_path.read_text().splitlines()
+    fields = row.split(",")
+    fields[column] = value
+    csv_path.write_text(f"{header}\n{','.join(fields)}\n")
+    code, _, err = run_cli(capsys, "report", "--in", str(csv_path),
+                           "--out-dir", str(tmp_path / "heat"))
+    assert code == EXIT_RUNTIME
+    assert err.startswith("womlab: error:")
 
 
 # -- global behaviour ---------------------------------------------------------------

@@ -7,10 +7,13 @@ must say why in CHANGES.md.
 """
 
 import hashlib
+import itertools
+import random
 
 import pytest
 
 from womlab.cli import EXIT_OK, main
+from womlab.reporting import RECORDS_HEADER
 
 SWEEP_FLAGS = ("--k", "0.1", "--supporters", "0.1", "--curious", "0,0.5",
                "--enthusiastic", "0,1", "--reps", "2", "--base-seed", "20200207")
@@ -55,3 +58,61 @@ def test_generate_and_simulate_digests(tmp_path, capsys):
                      "--seed", "3", "--trace", str(trace))
     assert sha256(stdout) == SIMULATE_STDOUT_SHA256
     assert sha256(trace.read_bytes()) == SIMULATE_TRACE_SHA256
+
+
+REPORT_STDOUT_SHA256 = "12ac9af6be581b293d95f301d433af1ca81c8053b6bf1f7842596a49f065bfa2"
+REPORT_FILES_SHA256 = {
+    "heatmap_ff_k0.01_s0.1.csv": "e03a53abb4c24f4aa1854de32214f4d99acff05ebcae2ae835784c86e784ca08",
+    "heatmap_ff_k0.01_s0.1.ppm": "03e5a118c57724947fd087e5d91eedb9dd6c60143d9264171d012b1c31999ff5",
+    "heatmap_ff_k0.01_s0.csv": "3ba164117a2b0e71cd22a6ee326d2d33490654e90afb165565e0d8b173b90035",
+    "heatmap_ff_k0.01_s0.ppm": "d703816430bfbd839d298bc8abef40bdd1f00726ce1d1476d9a669bfb7aea813",
+    "heatmap_ff_k0.5_s0.1.csv": "ce7e6cf9a08b9c76a7973e27065a6f5aff0514a29e2cbd65ec257025a55318f8",
+    "heatmap_ff_k0.5_s0.1.ppm": "82f20b50ef30e511f93bd6c3a6d81fabf90b961c8fe4cdc9fa5ebf722cd57910",
+    "heatmap_ff_k0.5_s0.csv": "bd983e2368df23df972c0e2a57482204034da887bc1b83424c9e132ee8170846",
+    "heatmap_ff_k0.5_s0.ppm": "971cda9fb87e4c090139b1f78f272c6ad2cadabeec1b592cfeb4af761284f392",
+    "heatmap_ws_k0.01_s0.1.csv": "ec42f48272f487d74c6a024d4d38f2defba00c778c39db75cee96259c31ec097",
+    "heatmap_ws_k0.01_s0.1.ppm": "d0837cfe594c13f14b121e5c53f15ff44174db60616f9aed66a950134216f72c",
+    "heatmap_ws_k0.01_s0.csv": "cca81613bbb725c6fa23a7a7a9de044e2656e4cc640d4ebdb29a796ce18fcb1a",
+    "heatmap_ws_k0.01_s0.ppm": "2678dfdac602d6bf037a13c49d4739d3be2783e179e51742292e573d1b720afc",
+    "heatmap_ws_k0.5_s0.1.csv": "6c6b9ee6bd18bdd70f758271e20c4986e009bb0bca47d1e478f0e1f0cb4d0345",
+    "heatmap_ws_k0.5_s0.1.ppm": "927de649375c644ca259c98fe4aa152e8ff2a29ebd51db93aa52282a87fd1c73",
+    "heatmap_ws_k0.5_s0.csv": "52cf31aec388b0151c1cbe91507b15f34aa7da94e072f61334ac71dc3da8355f",
+    "heatmap_ws_k0.5_s0.ppm": "96e7314651ddc3856162c1835f72d15804f0eee92f6f50b2921cbef930ad034b",
+}
+
+
+def report_records_csv(path) -> None:
+    """A records CSV with the default grid's shape in miniature: two
+    models, two k and supporters values, a 3x3 trait grid, 3 replicates,
+    some undefined path metrics, and k written three ways that print
+    alike at 6 decimals."""
+    rng = random.Random(20200207)
+    rows = [RECORDS_HEADER]
+    cells = itertools.product(("ws", "ff"), (0.01, 0.5), (0.0, 0.1), (0.0, 0.5, 1.0),
+                              (0.0, 0.5, 1.0), range(3))
+    for seed, (model, k, supporters, curious, enthusiastic, rep) in enumerate(cells, start=1):
+        k_text = (("0.5", "0.500000", "0.5000000001")[rep]
+                  if k == 0.5 and model == "ff" else f"{k:.6f}")
+        aware = rng.random()
+        both = aware * rng.random()
+        connected = rng.random() < 0.8
+        rows.append(",".join([
+            model, str(seed), str(seed + 10_000), k_text,
+            f"{curious:.6f}", f"{enthusiastic:.6f}", f"{supporters:.6f}",
+            repr(aware), repr(both), str(rng.randint(1, 400)),
+            "true" if rng.random() < 0.1 else "false",
+            "1000", str(rng.randint(2000, 6000)), repr(rng.random() / 100),
+            repr(2 + 4 * rng.random()) if connected else "NA",
+            repr(rng.random()),
+            str(rng.randint(4, 20)) if connected else "NA",
+        ]))
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+
+
+def test_report_digest(tmp_path, capsys):
+    records, out_dir = tmp_path / "records.csv", tmp_path / "heatmaps"
+    report_records_csv(records)
+    stdout = run_cli(capsys, "report", "--in", str(records), "--out-dir", str(out_dir))
+    files = {p.name: sha256(p.read_bytes()) for p in sorted(out_dir.iterdir())}
+    assert sha256(stdout) == REPORT_STDOUT_SHA256
+    assert files == REPORT_FILES_SHA256

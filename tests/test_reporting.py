@@ -8,7 +8,7 @@ from womlab.generators import FfParams, SiiParams, WsParams, generate
 from womlab.graph import build_graph
 from womlab.reporting import (GraphMLError, CsvFormatError, HeatmapError,
                               RECORDS_HEADER, SUMMARIES_HEADER, graphml_string,
-                              panel_keys, read_graphml, read_records_csv,
+                              panels, read_graphml, read_records_csv,
                               read_summaries_csv, records_csv_string,
                               render_heatmap, summaries_csv_string,
                               write_graphml, write_records_csv,
@@ -183,6 +183,38 @@ def test_records_csv_header_mismatch(tmp_path):
         read_records_csv(path)
 
 
+def records_text(*rows):
+    return "\n".join((RECORDS_HEADER, *rows)) + "\n"
+
+
+def record_row(**overrides):
+    return records_csv_string([record(0.5, **overrides)]).splitlines()[1]
+
+
+def test_records_csv_short_row_names_file_line(tmp_path):
+    # The blank line counts: the 16-field row is line 4 of the file.
+    path = tmp_path / "short.csv"
+    path.write_text(records_text(record_row(), "", record_row().rsplit(",", 1)[0]))
+    with pytest.raises(CsvFormatError, match="line 4: expected 17 fields"):
+        read_records_csv(path)
+
+
+def test_records_csv_reads_hit_max_rounds(tmp_path):
+    path = tmp_path / "records.csv"
+    path.write_text(records_text(record_row(hit_max_rounds=True), record_row()))
+    assert [r.hit_max_rounds for r in read_records_csv(path)] == [True, False]
+
+
+@pytest.mark.parametrize("value", ["True", "1", "", "yes"])
+def test_records_csv_rejects_bad_hit_max_rounds(tmp_path, value):
+    fields = record_row().split(",")
+    fields[10] = value
+    path = tmp_path / "records.csv"
+    path.write_text(records_text(record_row(), ",".join(fields)))
+    with pytest.raises(CsvFormatError, match="line 3: hit_max_rounds"):
+        read_records_csv(path)
+
+
 def test_summaries_csv_round_trip(tmp_path):
     grid = small_grid()
     summaries = aggregate(run_sweep(grid, worker_count=1))
@@ -280,9 +312,25 @@ def test_heatmap_byte_stable():
     assert out1 == out2
 
 
+def test_heatmap_whole_list_equals_panel_only():
+    values = {(0.0, 0.0): 0.1, (1.0, 0.0): 0.9, (0.0, 1.0): 0.5, (1.0, 1.0): 0.3}
+    panel = grid_summaries(values)
+    others = [summary(c, e, 0.7, model=m, k=k) for m, k in (("ff", 0.01), ("ws", 0.5))
+              for c in (0.0, 1.0) for e in (0.0, 1.0)]
+    whole = others[:4] + panel + others[4:]
+    assert render_heatmap(whole, ("ws", 0.01, 0.0)) == render_heatmap(panel, ("ws", 0.01, 0.0))
+
+
 def test_panel_keys_sorted_distinct():
     summaries = [summary(0.0, 0.0, 0.1, model=m, k=k, supporters=s)
                  for m, k, s in itertools.product(("ws", "ff"), (0.01, 0.5), (0.0, 0.1))]
-    keys = panel_keys(summaries)
+    # Two k values that print alike share a panel.
+    summaries.append(summary(1.0, 0.0, 0.2, model="ff", k=0.5 + 1e-12, supporters=0.1))
+    grouped = panels(summaries)
+    keys = [key for key, _ in grouped]
     assert len(keys) == 8
     assert keys == sorted(keys)
+    for (model, k, supporters), panel in grouped:
+        assert {(s.network_model, f"{s.k:.6f}", s.supporters) for s in panel} == {
+            (model, f"{k:.6f}", supporters)}
+    assert grouped[3] == (("ff", 0.5 + 1e-12, 0.1), summaries[7:])

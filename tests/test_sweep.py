@@ -176,6 +176,30 @@ def test_aggregate_groups_by_model_and_cell():
     assert summaries[1].mean_final_both == pytest.approx(0.3)
 
 
+def test_aggregate_cell_identity_and_input_order():
+    # Two interleaved cells; cell a's k values print alike at 6 decimals.
+    a_values, b_values = [0.1, 0.2, 0.3], [0.9, 0.4, 0.6]
+    assert sum(a_values) != sum(reversed(a_values))  # the order shows in the bits
+    records = []
+    for i, (a, b) in enumerate(zip(a_values, b_values)):
+        records.append(record(a, k=0.1 + (1e-12 if i % 2 else 0.0), sim_seed=2 * i))
+        records.append(record(b, curious=0.9, sim_seed=2 * i + 1))
+    cell_a, cell_b = aggregate(records)
+    assert (cell_a.k, cell_a.curious, cell_b.curious) == (0.1, 0.5, 0.9)
+    assert cell_a.n == cell_b.n == 3
+    assert cell_a.mean_final_both == cell_a.mean_final_aware == sum(a_values) / 3
+    assert cell_b.mean_final_both == cell_b.mean_final_aware == sum(b_values) / 3
+
+
+def test_aggregate_keeps_signed_zeros_apart():
+    # 0.0 == -0.0, but they print differently, so cell_key splits them.
+    records = [record(0.2, curious=0.0), record(0.4, curious=-0.0),
+               record(0.6, curious=0.0, sim_seed=2), record(0.8, curious=-0.0, sim_seed=2)]
+    summaries = aggregate(records)
+    assert [(str(s.curious), s.n, s.mean_final_both) for s in summaries] == [
+        ("0.0", 2, (0.2 + 0.6) / 2), ("-0.0", 2, (0.4 + 0.8) / 2)]
+
+
 def test_aggregate_output_sorted():
     records = []
     seed = 0
