@@ -23,9 +23,11 @@ neighbor that reacts by seeking gathers the expertise through its own
 queries instead.  The run ends at quiescence (no seeker has a move
 left, nobody promotes, advertising is over) or at the round cap.
 
-State is kept in parallel per-agent lists inside :class:`World`.  A
-:class:`World` is single-threaded, but independent worlds share nothing
-and may run concurrently.
+State is kept in parallel per-agent lists inside :class:`World`; an
+agent acts on its turn only while it is in an *episode* (seeking or
+proactive), whose neighbor list ``World.episode`` holds and which is
+``None`` otherwise.  A :class:`World` is single-threaded, but
+independent worlds share nothing and may run concurrently.
 """
 
 from __future__ import annotations
@@ -101,12 +103,18 @@ class SimResult:
 
 
 class World:
-    """Mutable population state over a fixed interaction network."""
+    """Mutable population state over a fixed interaction network.
+
+    ``episode[i]`` is ``None`` exactly when agent ``i`` is neither
+    SEEKING nor PROACTIVE; a seeker is always ignorant and a promoter
+    always holds expertise, so no agent has both.  A seeker's list holds
+    the neighbors still to query, a promoter's the at most ``t_promote``
+    neighbors still to push to, both in pop order.
+    """
 
     __slots__ = ("graph", "cfg", "rng", "n", "indptr", "indices",
                  "awareness", "expertise", "curious", "enthusiastic", "supporter",
-                 "busy", "unqueried", "unpushed", "pending", "promote_left",
-                 "round", "counts", "n_seek_exhausted", "ad_recipients")
+                 "episode", "pending", "round", "counts", "ad_recipients")
 
     def __init__(self, graph: Graph, cfg: SimConfig):
         self.graph = graph
@@ -122,17 +130,12 @@ class World:
         self.curious = [False] * n
         self.enthusiastic = [False] * n
         self.supporter = [False] * n
-        # busy[i]: seeking or proactive, the only states that act in a round.
-        self.busy = [False] * n
-        self.unqueried: list[list[int] | None] = [None] * n
-        self.unpushed: list[list[int] | None] = [None] * n
+        self.episode: list[list[int] | None] = [None] * n
         self.pending: list[list[int]] = [[] for _ in range(n)]
-        self.promote_left = [0] * n
         self.round = 0
         # counts[aw * 3 + ex], kept in sync with every transition.
         self.counts = [0] * 9
         self.counts[UNAWARE * 3 + IGNORANT] = n
-        self.n_seek_exhausted = 0
         self.ad_recipients: set[int] = set()
 
     # -- bookkeeping -------------------------------------------------------
@@ -143,7 +146,6 @@ class World:
         counts[new_aw * 3 + new_ex] += 1
         self.awareness[i] = new_aw
         self.expertise[i] = new_ex
-        self.busy[i] = new_aw == SEEKING or new_ex == PROACTIVE
 
     def _check_id(self, i: int) -> None:
         if not (isinstance(i, (int, np.integer)) and 0 <= i < self.n):
@@ -163,10 +165,9 @@ class World:
         counts = self.counts
         if self.round < self.cfg.ad_rounds or any(counts[PROACTIVE::3]):
             return False
-        seeking = counts[SEEKING * 3 + IGNORANT]  # a seeker is always ignorant
         if self.cfg.seeker_gives_up:
-            return seeking == 0
-        return seeking == self.n_seek_exhausted
+            return not counts[SEEKING * 3 + IGNORANT]  # a seeker is always ignorant
+        return not any(self.episode)  # only seekers are left in an episode
 
     def _shuffled_neighbors(self, i: int) -> list[int]:
         # numpy shuffles a list with the same draws and swaps as an array.
@@ -175,8 +176,9 @@ class World:
         return neighbors
 
     def _start_promoting(self, i: int) -> None:
-        self.promote_left[i] = self.cfg.t_promote
-        self.unpushed[i] = self._shuffled_neighbors(i)
+        # Shuffle every neighbor (the draws), keep the t_promote popped first.
+        neighbors = self._shuffled_neighbors(i)
+        self.episode[i] = neighbors[max(len(neighbors) - self.cfg.t_promote, 0):]
 
 
 def init_population(graph: Graph, cfg: SimConfig) -> World:
@@ -229,10 +231,7 @@ def _deliver_awareness(world: World, agent_id: int) -> None:
             world._move(agent_id, AWARE, expertise)
     elif world.curious[agent_id]:
         world._move(agent_id, SEEKING, IGNORANT)
-        episode = world._shuffled_neighbors(agent_id)
-        world.unqueried[agent_id] = episode
-        if not episode:
-            world.n_seek_exhausted += 1
+        world.episode[agent_id] = world._shuffled_neighbors(agent_id)
     else:
         world._move(agent_id, AWARE, IGNORANT)
 
@@ -257,17 +256,16 @@ def _deliver_expertise(world: World, agent_id: int) -> None:
         i = stack.pop()
         if world.expertise[i] != IGNORANT:
             continue
+        aw = world.awareness[i]
+        if aw == SEEKING:
+            # End the seeking episode before a promotion episode may start.
+            world.episode[i] = None
+            aw = AWARE
         if world.enthusiastic[i]:
             new_ex = PROACTIVE
             world._start_promoting(i)
         else:
             new_ex = KNOWLEDGEABLE
-        aw = world.awareness[i]
-        if aw == SEEKING:
-            if not world.unqueried[i]:
-                world.n_seek_exhausted -= 1
-            world.unqueried[i] = None
-            aw = AWARE
         world._move(i, aw, new_ex)
         requesters = world.pending[i]
         if requesters:
@@ -292,8 +290,8 @@ def step(world: World) -> None:
     per round, each neighbor at most once): the neighbor becomes aware
     and, unless it is busy seeking, receives the expertise on the spot
     (a seeking neighbor gathers it through its own queries instead);
-    the promoter retires to knowledgeable when its push budget hits
-    zero or no fresh neighbor remains.
+    the promoter retires to knowledgeable when its episode, cut to its
+    push budget, runs empty.
 
     Draw order: the advertisement's ``choice`` over the ascending
     unaware pool (none when the whole pool is reached), then the
@@ -321,35 +319,28 @@ def step(world: World) -> None:
         return  # nobody can act, so nobody can be activated
     awareness = world.awareness
     expertise = world.expertise
-    busy = world.busy
-    unqueried = world.unqueried
-    unpushed = world.unpushed
+    episodes = world.episode
     pending = world.pending
-    promote_left = world.promote_left
     seeker_gives_up = cfg.seeker_gives_up
     for i in order.tolist():
-        if not busy[i]:
+        episode = episodes[i]
+        if episode is None:
             continue
         if awareness[i] == SEEKING:
-            episode = unqueried[i]
             while episode and expertise[i] == IGNORANT:
                 target = episode.pop()
-                if not episode:
-                    world.n_seek_exhausted += 1
                 if awareness[target] == UNAWARE:
                     _deliver_awareness(world, target)
                 if expertise[target] != IGNORANT:
                     _deliver_expertise(world, i)
                 else:
                     pending[target].append(i)
-            if awareness[i] == SEEKING and not unqueried[i] and seeker_gives_up:
-                world.n_seek_exhausted -= 1
-                unqueried[i] = None
+            # Still seeking here means the list ran out without expertise.
+            if awareness[i] == SEEKING and seeker_gives_up:
+                episodes[i] = None
                 world._move(i, AWARE, IGNORANT)
-        elif expertise[i] == PROACTIVE:
-            episode = unpushed[i]
-            left = promote_left[i]
-            if left > 0 and episode:
+        else:  # proactive
+            if episode:
                 target = episode.pop()
                 if awareness[target] == UNAWARE:
                     _deliver_awareness(world, target)
@@ -359,10 +350,8 @@ def step(world: World) -> None:
                 # the know-how on the spot.
                 if awareness[target] != SEEKING and expertise[target] == IGNORANT:
                     _deliver_expertise(world, target)
-                left -= 1
-                promote_left[i] = left
-            if left <= 0 or not episode:
-                unpushed[i] = None
+            if not episode:
+                episodes[i] = None
                 world._move(i, awareness[i], KNOWLEDGEABLE)
 
 

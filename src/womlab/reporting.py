@@ -194,8 +194,9 @@ _BOOLS = {"true": True, "false": False}
 
 def read_records_csv(source) -> list[RunRecord]:
     """Parse a records CSV; blank lines are skipped, and a row with the
-    wrong field count or a ``hit_max_rounds`` other than ``true`` or
-    ``false`` is rejected with its line number in the file."""
+    wrong field count, a number that does not parse or a
+    ``hit_max_rounds`` other than ``true`` or ``false`` is rejected with
+    its line number in the file."""
     lines = Path(source).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != RECORDS_HEADER:
         raise CsvFormatError("records CSV header does not match the schema")
@@ -210,17 +211,18 @@ def read_records_csv(source) -> list[RunRecord]:
          final_both, rounds, hit_max_rounds, nodes, edges, density, avg_path_length,
          clustering, diameter) = parts
         try:
-            hit_max_rounds = _BOOLS[hit_max_rounds]
+            # RunRecord's fields are in header order.
+            records.append(RunRecord(
+                model, int(network_seed), int(sim_seed), float(k), float(curious),
+                float(enthusiastic), float(supporters), float(final_aware), float(final_both),
+                int(rounds), _BOOLS[hit_max_rounds], int(nodes), int(edges), float(density),
+                None if avg_path_length == "NA" else float(avg_path_length),
+                float(clustering), None if diameter == "NA" else int(diameter)))
         except KeyError:
             raise CsvFormatError(f"records CSV line {lineno}: hit_max_rounds must be "
                                  f"true or false, not {hit_max_rounds!r}") from None
-        # RunRecord's fields are in header order.
-        records.append(RunRecord(
-            model, int(network_seed), int(sim_seed), float(k), float(curious),
-            float(enthusiastic), float(supporters), float(final_aware), float(final_both),
-            int(rounds), hit_max_rounds, int(nodes), int(edges), float(density),
-            None if avg_path_length == "NA" else float(avg_path_length), float(clustering),
-            None if diameter == "NA" else int(diameter)))
+        except ValueError as exc:
+            raise CsvFormatError(f"records CSV line {lineno}: {exc}") from None
     return records
 
 
@@ -252,13 +254,16 @@ def read_summaries_csv(source) -> list[CellSummary]:
         parts = line.split(",")
         if len(parts) != 10:
             raise CsvFormatError(f"summaries CSV line {lineno}: expected 10 fields")
-        summaries.append(CellSummary(
-            network_model=parts[0], k=float(parts[1]), supporters=float(parts[2]),
-            curious=float(parts[3]), enthusiastic=float(parts[4]),
-            mean_final_both=float(parts[5]), sd_final_both=float(parts[6]),
-            mean_final_aware=float(parts[7]), mean_rounds=float(parts[8]),
-            n=int(parts[9]),
-        ))
+        try:
+            summaries.append(CellSummary(
+                network_model=parts[0], k=float(parts[1]), supporters=float(parts[2]),
+                curious=float(parts[3]), enthusiastic=float(parts[4]),
+                mean_final_both=float(parts[5]), sd_final_both=float(parts[6]),
+                mean_final_aware=float(parts[7]), mean_rounds=float(parts[8]),
+                n=int(parts[9]),
+            ))
+        except ValueError as exc:
+            raise CsvFormatError(f"summaries CSV line {lineno}: {exc}") from None
     return summaries
 
 

@@ -245,7 +245,7 @@ def test_report_bad_field_exits_2(tmp_path, capsys, column, value):
     code, _, err = run_cli(capsys, "report", "--in", str(csv_path),
                            "--out-dir", str(tmp_path / "heat"))
     assert code == EXIT_RUNTIME
-    assert err.startswith("womlab: error:")
+    assert err.startswith("womlab: error: records CSV line 2:")
 
 
 # -- global behaviour ---------------------------------------------------------------

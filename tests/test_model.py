@@ -1,6 +1,7 @@
 """Agent-model rules, invariants and end-to-end run behaviour."""
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -26,13 +27,22 @@ def make_world(graph, **overrides):
     return init_population(graph, cfg)
 
 
-PER_AGENT_LISTS = ("awareness", "expertise", "curious", "enthusiastic", "supporter", "busy",
-                   "unqueried", "unpushed", "pending", "promote_left")
+PER_AGENT_LISTS = ("awareness", "expertise", "curious", "enthusiastic", "supporter",
+                   "episode", "pending")
+# Every other World slot; a new slot must join one of the two tuples.
+WORLD_SLOTS = ("graph", "cfg", "rng", "n", "indptr", "indices", "round", "counts",
+               "ad_recipients")
 
 
 def agent_lists(w):
     """Deep copy of every per-agent list, for whole-world comparisons."""
     return copy.deepcopy([getattr(w, name) for name in PER_AGENT_LISTS])
+
+
+def test_agent_lists_cover_every_per_agent_slot():
+    assert sorted(PER_AGENT_LISTS + WORLD_SLOTS) == sorted(World.__slots__)
+    w = make_world(line_graph(4))
+    assert all(len(getattr(w, name)) == w.n for name in PER_AGENT_LISTS)
 
 
 # -- configuration ------------------------------------------------------------
@@ -92,7 +102,7 @@ def test_awareness_curious_starts_seeking():
     w.curious[1] = True
     deliver_awareness(w, 1)
     assert w.awareness[1] == SEEKING
-    assert sorted(w.unqueried[1]) == [0, 2]
+    assert sorted(w.episode[1]) == [0, 2]
 
 
 def test_awareness_noncurious_becomes_aware():
@@ -109,7 +119,7 @@ def test_awareness_expert_supporter_promotes():
     deliver_awareness(w, 1)
     assert w.awareness[1] == AWARE
     assert w.expertise[1] == PROACTIVE
-    assert w.promote_left[1] == 4
+    assert sorted(w.episode[1]) == [0, 2]  # budget 4, two neighbors
 
 
 def test_awareness_expert_non_supporter_stays_passive():
@@ -145,10 +155,12 @@ def test_expertise_seeker_enthusiastic_promotes():
     w.curious[1] = True
     w.enthusiastic[1] = True
     deliver_awareness(w, 1)
+    seeking = w.episode[1]
     deliver_expertise(w, 1)
     assert w.awareness[1] == AWARE
     assert w.expertise[1] == PROACTIVE
-    assert w.promote_left[1] == 6
+    assert sorted(w.episode[1]) == [0, 2]  # budget 6, two neighbors
+    assert w.episode[1] is not seeking
 
 
 def test_expertise_seeker_passive_becomes_knowledgeable():
@@ -158,6 +170,7 @@ def test_expertise_seeker_passive_becomes_knowledgeable():
     deliver_expertise(w, 1)
     assert w.awareness[1] == AWARE
     assert w.expertise[1] == KNOWLEDGEABLE
+    assert w.episode[1] is None
 
 
 def test_expertise_idempotent():
@@ -234,6 +247,23 @@ def test_step_promoter_lifetime_expiry():
     assert w.expertise[1] == PROACTIVE
     step(w)
     assert w.expertise[1] == KNOWLEDGEABLE
+
+
+def test_step_hub_promoter_pushes_only_its_budget():
+    # A hub of degree 6 with a budget of 3 pushes to 3 distinct leaves,
+    # one per round, and retires in the round of its last push.
+    w = make_world(build_graph(7, [(0, leaf) for leaf in range(1, 7)]), t_promote=3)
+    w._move(0, UNAWARE, KNOWLEDGEABLE)
+    w.supporter[0] = True
+    deliver_awareness(w, 0)
+    assert len(w.episode[0]) == 3
+    for pushed in (1, 2, 3):
+        assert w.expertise[0] == PROACTIVE
+        step(w)
+        leaves = [leaf for leaf in range(1, 7) if w.expertise[leaf] == KNOWLEDGEABLE]
+        assert len(leaves) == pushed
+    assert w.expertise[0] == KNOWLEDGEABLE and w.episode[0] is None
+    assert w.is_quiescent()
 
 
 def test_step_promoter_pushes_both_to_passive_target():
@@ -328,19 +358,27 @@ def _random_world(rng):
 
 
 def _check_legality(w):
-    for i in range(w.n):
-        if w.awareness[i] == SEEKING:
-            assert w.curious[i]
-            assert w.expertise[i] == IGNORANT
-        if w.expertise[i] == PROACTIVE:
-            assert w.promote_left[i] >= 0
-        assert w.busy[i] == (w.awareness[i] == SEEKING or w.expertise[i] == PROACTIVE)
+    seekers = [i for i in range(w.n) if w.awareness[i] == SEEKING]
+    promoters = [i for i in range(w.n) if w.expertise[i] == PROACTIVE]
+    for i in seekers:
+        assert w.curious[i]
+        assert w.expertise[i] == IGNORANT
+    for i in promoters:
+        assert len(w.episode[i]) <= w.cfg.t_promote
+    assert [i for i in range(w.n) if w.episode[i] is not None] == sorted(seekers + promoters)
     counts = [0] * 9
     for i in range(w.n):
         counts[w.awareness[i] * 3 + w.expertise[i]] += 1
     assert counts == w.counts
-    assert w.n_seek_exhausted == sum(1 for i in range(w.n)
-                                     if w.awareness[i] == SEEKING and not w.unqueried[i])
+    cfg = w.cfg
+    for gives_up in (False, True):
+        w.cfg = dataclasses.replace(cfg, seeker_gives_up=gives_up)
+        # Quiescent: advertising over, no promoter, no seeker with a move
+        # left (giving up is a move).
+        idle_seekers = not seekers if gives_up else all(not w.episode[i] for i in seekers)
+        expected = w.round >= cfg.ad_rounds and not promoters and idle_seekers
+        assert w.is_quiescent() == expected
+    w.cfg = cfg
 
 
 def test_state_machine_invariants_200_random_configs():
@@ -405,6 +443,41 @@ def test_reachability_oracle_on_disconnected_graphs():
 
 
 # -- reference: the validating step, kept as the draw-order oracle ---------------
+#
+# The oracle keeps its own episode state in RefEpisodes, next to a World
+# whose `episode` list it never touches: separate query and push lists, a
+# push budget per promoter and a tally of seekers with nothing left to query.
+
+
+class RefEpisodes:
+    def __init__(self, n):
+        self.unqueried = [None] * n
+        self.unpushed = [None] * n
+        self.promote_left = [0] * n
+        self.n_seek_exhausted = 0
+
+    def as_episode(self):
+        """The same state in World.episode's form: a promoter's list keeps
+        only the neighbors its remaining budget still reaches."""
+        episode = []
+        for queries, pushes, left in zip(self.unqueried, self.unpushed, self.promote_left):
+            if queries is not None:
+                episode.append(queries)
+            elif pushes is not None:
+                episode.append(pushes[max(len(pushes) - left, 0):])
+            else:
+                episode.append(None)
+        return episode
+
+
+def _ref_is_quiescent(w, ref):
+    counts = w.counts
+    if w.round < w.cfg.ad_rounds or any(counts[PROACTIVE::3]):
+        return False
+    seeking = counts[SEEKING * 3 + IGNORANT]
+    if w.cfg.seeker_gives_up:
+        return seeking == 0
+    return seeking == ref.n_seek_exhausted
 
 
 def _ref_shuffled_neighbors(w, i):
@@ -413,12 +486,12 @@ def _ref_shuffled_neighbors(w, i):
     return neighbors.tolist()
 
 
-def _ref_start_promoting(w, i):
-    w.promote_left[i] = w.cfg.t_promote
-    w.unpushed[i] = _ref_shuffled_neighbors(w, i)
+def _ref_start_promoting(w, ref, i):
+    ref.promote_left[i] = w.cfg.t_promote
+    ref.unpushed[i] = _ref_shuffled_neighbors(w, i)
 
 
-def _ref_deliver_awareness(w, i, cause="contact"):
+def _ref_deliver_awareness(w, ref, i, cause="contact"):
     w._check_id(i)
     if w.awareness[i] != UNAWARE:
         return
@@ -428,20 +501,20 @@ def _ref_deliver_awareness(w, i, cause="contact"):
     if ex != IGNORANT:
         if w.supporter[i] and ex != PROACTIVE:
             w._move(i, AWARE, PROACTIVE)
-            _ref_start_promoting(w, i)
+            _ref_start_promoting(w, ref, i)
         else:
             w._move(i, AWARE, ex)
     elif w.curious[i]:
         w._move(i, SEEKING, IGNORANT)
         episode = _ref_shuffled_neighbors(w, i)
-        w.unqueried[i] = episode
+        ref.unqueried[i] = episode
         if not episode:
-            w.n_seek_exhausted += 1
+            ref.n_seek_exhausted += 1
     else:
         w._move(i, AWARE, IGNORANT)
 
 
-def _ref_deliver_expertise(w, agent_id):
+def _ref_deliver_expertise(w, ref, agent_id):
     w._check_id(agent_id)
     stack = [agent_id]
     while stack:
@@ -450,14 +523,14 @@ def _ref_deliver_expertise(w, agent_id):
             continue
         if w.enthusiastic[i]:
             new_ex = PROACTIVE
-            _ref_start_promoting(w, i)
+            _ref_start_promoting(w, ref, i)
         else:
             new_ex = KNOWLEDGEABLE
         aw = w.awareness[i]
         if aw == SEEKING:
-            if not w.unqueried[i]:
-                w.n_seek_exhausted -= 1
-            w.unqueried[i] = None
+            if not ref.unqueried[i]:
+                ref.n_seek_exhausted -= 1
+            ref.unqueried[i] = None
             aw = AWARE
         w._move(i, aw, new_ex)
         if w.pending[i]:
@@ -465,7 +538,7 @@ def _ref_deliver_expertise(w, agent_id):
             w.pending[i] = []
 
 
-def reference_step(w):
+def reference_step(w, ref):
     cfg, rng = w.cfg, w.rng
     w.round += 1
     if w.round <= cfg.ad_rounds:
@@ -478,47 +551,48 @@ def reference_step(w):
                 picks = rng.choice(len(pool), size=reach, replace=False)
                 targets = [pool[j] for j in picks.tolist()]
             for t in targets:
-                _ref_deliver_awareness(w, t, cause="ad")
+                _ref_deliver_awareness(w, ref, t, cause="ad")
     for i in rng.permutation(w.n).tolist():
         if w.awareness[i] == SEEKING:
-            episode = w.unqueried[i]
+            episode = ref.unqueried[i]
             while episode and w.expertise[i] == IGNORANT:
                 target = episode.pop()
                 if not episode:
-                    w.n_seek_exhausted += 1
-                _ref_deliver_awareness(w, target)
+                    ref.n_seek_exhausted += 1
+                _ref_deliver_awareness(w, ref, target)
                 if w.expertise[target] != IGNORANT:
-                    _ref_deliver_expertise(w, i)
+                    _ref_deliver_expertise(w, ref, i)
                 else:
                     w.pending[target].append(i)
-            if w.awareness[i] == SEEKING and not w.unqueried[i] and cfg.seeker_gives_up:
-                w.n_seek_exhausted -= 1
-                w.unqueried[i] = None
+            if w.awareness[i] == SEEKING and not ref.unqueried[i] and cfg.seeker_gives_up:
+                ref.n_seek_exhausted -= 1
+                ref.unqueried[i] = None
                 w._move(i, AWARE, IGNORANT)
         elif w.expertise[i] == PROACTIVE:
-            episode = w.unpushed[i]
-            left = w.promote_left[i]
+            episode = ref.unpushed[i]
+            left = ref.promote_left[i]
             if left > 0 and episode:
                 target = episode.pop()
-                _ref_deliver_awareness(w, target)
+                _ref_deliver_awareness(w, ref, target)
                 if w.awareness[target] != SEEKING:
-                    _ref_deliver_expertise(w, target)
+                    _ref_deliver_expertise(w, ref, target)
                 left -= 1
-                w.promote_left[i] = left
+                ref.promote_left[i] = left
             if left <= 0 or not episode:
-                w.unpushed[i] = None
+                ref.unpushed[i] = None
                 w._move(i, w.awareness[i], KNOWLEDGEABLE)
 
 
 def reference_run(graph, cfg):
     w = init_population(graph, cfg)
+    ref = RefEpisodes(w.n)
     series = [tuple(w.counts)]
-    while w.round < cfg.max_rounds and not w.is_quiescent():
-        reference_step(w)
+    while w.round < cfg.max_rounds and not _ref_is_quiescent(w, ref):
+        reference_step(w, ref)
         series.append(tuple(w.counts))
     n = max(w.n, 1)
     return SimResult(w.aware_count() / n, w.both_count() / n, w.round,
-                     not w.is_quiescent(), series), w
+                     not _ref_is_quiescent(w, ref), series), w, ref
 
 
 def _ws(n, seed):
@@ -552,10 +626,12 @@ def test_run_matches_reference(graph, overrides):
     for seed in range(5):
         cfg = SimConfig(**{"ad_rounds": 8, "ad_share": 0.01, "t_promote": 15,
                            "seed": 1000 + seed, **overrides})
-        expected, ref_world = reference_run(graph, cfg)
+        expected, ref_world, ref = reference_run(graph, cfg)
         assert run(graph, cfg) == expected, seed
         w = init_population(graph, cfg)
         while w.round < cfg.max_rounds and not w.is_quiescent():
             step(w)
+        assert all(e is None for e in ref_world.episode)  # the oracle never sets it
+        ref_world.episode = ref.as_episode()
         assert agent_lists(w) == agent_lists(ref_world)
         assert w.ad_recipients == ref_world.ad_recipients

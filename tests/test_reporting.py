@@ -215,6 +215,25 @@ def test_records_csv_rejects_bad_hit_max_rounds(tmp_path, value):
         read_records_csv(path)
 
 
+def test_records_csv_non_numeric_field_names_file_line(tmp_path):
+    fields = record_row().split(",")
+    fields[9] = "ten"  # rounds
+    path = tmp_path / "records.csv"
+    path.write_text(records_text(record_row(), ",".join(fields)))
+    with pytest.raises(CsvFormatError, match="records CSV line 3: .*'ten'"):
+        read_records_csv(path)
+
+
+def test_summaries_csv_non_numeric_field_names_file_line(tmp_path):
+    rows = summaries_csv_string(aggregate([record(0.5)])).splitlines()
+    fields = rows[1].split(",")
+    fields[9] = "x"  # n
+    path = tmp_path / "summaries.csv"
+    path.write_text("\n".join((rows[0], rows[1], ",".join(fields))) + "\n")
+    with pytest.raises(CsvFormatError, match="summaries CSV line 3: .*'x'"):
+        read_summaries_csv(path)
+
+
 def test_summaries_csv_round_trip(tmp_path):
     grid = small_grid()
     summaries = aggregate(run_sweep(grid, worker_count=1))
