@@ -21,12 +21,17 @@ per-call overhead.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .graph import Graph, GraphMetrics, build_graph, compute_metrics, is_connected
-from .rng import GEOMETRIC_SEARCH_MIN_P, PhiloxReplay, RngSeed, SEED_MASK, make_rng
+from .rng import (GEOMETRIC_SEARCH_MIN_P, PhiloxReplay, RngSeed,
+                  geometric_thresholds, make_rng)
 
 # Resampling cap when a rewired endpoint keeps colliding with existing
 # edges; past it the original edge is kept unchanged.
@@ -183,11 +188,19 @@ def generate_ff(params: FfParams, seed: RngSeed) -> Graph:
     consumes the same draw and returns the same index.
 
     The draws are those of ``np.random.Generator`` on the seed's Philox
-    stream, replayed by :class:`PhiloxReplay`.  When a geometric success
-    probability falls below ``GEOMETRIC_SEARCH_MIN_P`` (``fw_prob > 2/3``,
-    or ``2/3 < fw_prob * bw_factor < 1``), numpy samples it from an
-    exponential, which the replay does not reproduce, and the same draws
-    come from the ``Generator`` itself.
+    stream, replayed by :class:`PhiloxReplay`.  Each count is
+    ``bisect_right(table, word())``: the word is one raw Philox word and
+    the table is :func:`geometric_thresholds` of the count's success
+    probability, built once per call, which is numpy's CDF search on that
+    word.  When a success probability falls below
+    ``GEOMETRIC_SEARCH_MIN_P`` (``fw_prob > 2/3``, or
+    ``2/3 < fw_prob * bw_factor < 1``), numpy samples it from an
+    exponential, which the replay does not reproduce, and all draws come
+    from the ``Generator`` itself; a count's word is then its geometric
+    draw and its table ``range(2, n + 2)``, which gives the draw minus
+    one, capped at ``n`` (more than any node has neighbors).  A count that
+    takes no draw has a constant word: 0 against an empty table, or ``n``
+    against ``range(n)`` to burn every in-neighbor.
     """
     n, p, ambs = params.n, params.fw_prob, params.ambs
     pb = p * params.bw_factor
@@ -195,21 +208,48 @@ def generate_ff(params: FfParams, seed: RngSeed) -> Graph:
     q_fwd, q_bwd = 1.0 - p, 1.0 - pb
     if q_fwd >= GEOMETRIC_SEARCH_MIN_P and (q_bwd >= GEOMETRIC_SEARCH_MIN_P or pb >= 1.0):
         replay = PhiloxReplay(rng.bit_generator)
-        integers, geometric, choice = replay.integers, replay.geometric, replay.choice
+        integers, choice = replay.integers, replay.choice
+
+        def counts(q: float) -> tuple[Sequence[int], Callable[[], int]]:
+            return geometric_thresholds(q), replay.raw
     else:
         def integers(hi: int) -> int:
             return int(rng.integers(0, hi))
 
-        def geometric(q: float) -> int:
-            return int(rng.geometric(q))
-
         def choice(pop: int, k: int) -> list[int]:
             return rng.choice(pop, size=k, replace=False).tolist()
+
+        def counts(q: float) -> tuple[Sequence[int], Callable[[], int]]:
+            return range(2, n + 2), partial(rng.geometric, q)
+    # A count is bisect_right(table, word()) for its (table, word) pair.
+    no_draw = ((), repeat(0).__next__)
+    fwd_table, fwd_word = counts(q_fwd) if p > 0.0 else no_draw
+    if pb >= 1.0:
+        bwd_table, bwd_word = range(n), repeat(n).__next__
+    else:
+        bwd_table, bwd_word = counts(q_bwd) if pb > 0.0 else no_draw
     src: list[int] = []
     dst: list[int] = []
     out_adj: list[list[int]] = [[] for _ in range(n)]
     in_adj: list[list[int]] = [[] for _ in range(n)]
     visited = [-1] * n  # stamp of the arrival that burned the node
+
+    def burn(candidates: list[int], want: int, a: int, queue: list[int]) -> None:
+        """Link arrival ``a`` to ``want`` unvisited candidates (all if fewer)."""
+        fresh = []  # a loop: a comprehension is one more call on Python < 3.12
+        for w in candidates:
+            if visited[w] != a:
+                fresh.append(w)
+        if want >= len(fresh):
+            chosen = fresh
+        elif want == 1:
+            chosen = [fresh[integers(len(fresh))]]
+        else:
+            chosen = [fresh[i] for i in choice(len(fresh), want)]
+        for w in chosen:
+            visited[w] = a
+        queue.extend(chosen)
+
     for a in range(1, n):
         visited[a] = a
         k = min(ambs, a)
@@ -221,24 +261,12 @@ def generate_ff(params: FfParams, seed: RngSeed) -> Graph:
             visited[b] = a
             queue.append(b)
         for b in queue:  # grows while burning: breadth-first order
-            n_fwd = geometric(q_fwd) - 1 if p > 0.0 else 0
-            if pb >= 1.0:
-                n_bwd = len(in_adj[b])
-            else:
-                n_bwd = geometric(q_bwd) - 1 if pb > 0.0 else 0
-            for candidates, want in ((out_adj[b], n_fwd), (in_adj[b], n_bwd)):
-                if want <= 0:
-                    continue
-                fresh = [w for w in candidates if visited[w] != a]
-                if want >= len(fresh):
-                    chosen = fresh
-                elif want == 1:
-                    chosen = [fresh[integers(len(fresh))]]
-                else:
-                    chosen = [fresh[i] for i in choice(len(fresh), want)]
-                for w in chosen:
-                    visited[w] = a
-                queue.extend(chosen)
+            n_fwd = bisect_right(fwd_table, fwd_word())
+            n_bwd = bisect_right(bwd_table, bwd_word())
+            if n_fwd:
+                burn(out_adj[b], n_fwd, a, queue)
+            if n_bwd:
+                burn(in_adj[b], n_bwd, a, queue)
         out_adj[a] = queue
         for w in queue:
             in_adj[w].append(a)
@@ -317,17 +345,23 @@ def generate(model: str, params, seed: RngSeed) -> Graph:
 
 def generate_validated(model: str, params, seed: RngSeed,
                        max_retries: int = 10) -> tuple[Graph, GraphMetrics, int]:
-    """Generate until connected, advancing the seed by one per attempt.
+    """Generate until connected, drawing each retry from its own seed.
 
-    Returns ``(graph, metrics, attempts)``.  Connectivity is enforced by
-    retrying with fresh seeds, never by stitching components, so the
-    statistics of the returned graph are untouched.
+    Attempt 0 uses ``seed`` itself; attempt ``i >= 1`` uses the first
+    64-bit word of ``np.random.SeedSequence([seed, i])``, so a retry
+    never rebuilds the network of a neighbouring seed (a sweep names its
+    runs by consecutive seeds).  Returns ``(graph, metrics, attempts)``.
+    Connectivity is enforced by retrying with fresh seeds, never by
+    stitching components, so the statistics of the returned graph are
+    untouched.
     """
     if max_retries < 1:
         raise ValueError("max_retries must be >= 1")
     for attempt in range(max_retries):
-        g = generate(model, params, (seed + attempt) & SEED_MASK)
+        attempt_seed = seed if attempt == 0 else int(
+            np.random.SeedSequence([seed, attempt]).generate_state(1, np.uint64)[0])
+        g = generate(model, params, attempt_seed)
         if is_connected(g):
             return g, compute_metrics(g), attempt + 1
     raise GenerationError(
-        f"{model}: no connected network for seeds {seed}..{seed + max_retries - 1}")
+        f"{model}: no connected network in {max_retries} attempts from seed {seed}")

@@ -16,10 +16,10 @@ SEED_MASK = (1 << 64) - 1
 
 _U32 = 0xFFFFFFFF
 _RAW_BLOCK = 512  # raw words per random_raw() call of PhiloxReplay
-_DOUBLE_UNIT = 1.0 / 9007199254740992.0  # 2**-53
+_DOUBLE_SCALE = 9007199254740992.0  # 2**53: a double draw is (word >> 11) / 2**53
 
 # numpy's geometric() searches the CDF from p = 1/3 up and samples an
-# exponential (ziggurat) below it; ``PhiloxReplay`` replays the search only.
+# exponential (ziggurat) below it; ``geometric_thresholds`` replays the search only.
 GEOMETRIC_SEARCH_MIN_P = 1.0 / 3.0
 
 # Seed type: any integer in [0, 2**64).  Kept as a plain int throughout;
@@ -54,22 +54,28 @@ class PhiloxReplay:
     As in numpy, a 32-bit draw takes the low half of a fresh word and
     buffers the high half for the next 32-bit draw; a double takes a
     fresh word and leaves that buffer as it is.
+
+    ``raw()`` returns the next raw 64-bit word as an int.  A double draw
+    takes one such word, so ``Generator.geometric(p)`` for
+    ``p >= GEOMETRIC_SEARCH_MIN_P`` is
+    ``bisect_right(geometric_thresholds(p), replay.raw()) + 1``: numpy's
+    CDF search on that word, looked up in a table built once per ``p``.
     """
 
-    __slots__ = ("_raw", "_half")
+    __slots__ = ("raw", "_half")
 
     def __init__(self, bit_generator: np.random.Philox):
         state = bit_generator.state
         self._half = state["uinteger"] if state["has_uint32"] else None
         blocks = iter(lambda: bit_generator.random_raw(_RAW_BLOCK).tolist(), None)
-        self._raw = chain.from_iterable(blocks).__next__
+        self.raw = chain.from_iterable(blocks).__next__
 
     def _next_uint32(self) -> int:
         half = self._half
         if half is not None:
             self._half = None
             return half
-        word = self._raw()
+        word = self.raw()
         self._half = word >> 32
         return word & _U32
 
@@ -83,7 +89,7 @@ class PhiloxReplay:
             return 0
         half = self._half
         if half is None:
-            word = self._raw()
+            word = self.raw()
             self._half = word >> 32
             m = (word & _U32) * hi
         else:
@@ -94,21 +100,6 @@ class PhiloxReplay:
             while m & _U32 < threshold:
                 m = self._next_uint32() * hi
         return m >> 32
-
-    def geometric(self, p: float) -> int:
-        """``Generator.geometric(p)`` for ``p >= GEOMETRIC_SEARCH_MIN_P``.
-
-        numpy's CDF search on one double, ``(word >> 11) * 2**-53``.
-        """
-        u = (self._raw() >> 11) * _DOUBLE_UNIT
-        x = 1
-        total = prod = p
-        q = 1.0 - p
-        while u > total:
-            prod *= q
-            total += prod
-            x += 1
-        return x
 
     def choice(self, pop: int, k: int) -> list[int]:
         """``Generator.choice(pop, size=k, replace=False).tolist()`` for ``k <= pop``.
@@ -137,6 +128,33 @@ class PhiloxReplay:
             j = integers(i + 1)
             picks[i], picks[j] = picks[j], picks[i]
         return picks
+
+
+def geometric_thresholds(p: float) -> list[int]:
+    """Raw-word thresholds of numpy's geometric CDF search for success ``p``.
+
+    numpy's ``Generator.geometric(p)`` for ``p >= GEOMETRIC_SEARCH_MIN_P``
+    draws one double ``u = (word >> 11) * 2**-53`` and returns the first
+    ``x`` with ``u <= total_x``, where ``total_1 = p`` and ``total_x``
+    adds ``p * (1 - p)**(x - 1)`` by the float recurrence
+    ``prod *= q; total += prod``.  This table holds, in that recurrence's
+    operation order, ``th_x = (floor(total_x * 2**53) + 1) << 11``, the
+    least word with ``u > total_x``; so ``bisect_right(table, word)`` is
+    the draw minus one, exactly.  The table ends where ``total`` reaches
+    1.0 (no word lies beyond) or stops changing.  In the second case, a
+    word at or past the last threshold is one on which numpy's search
+    never ends; the table gives it the count ``len(table)``.
+    """
+    thresholds = []
+    total = prod = p
+    q = 1.0 - p
+    while total < 1.0:
+        thresholds.append((int(total * _DOUBLE_SCALE) + 1) << 11)
+        prod *= q
+        last, total = total, total + prod
+        if total == last:
+            break
+    return thresholds
 
 
 def round_half_up(x: float) -> int:

@@ -207,11 +207,12 @@ def run_sweep(grid: SweepGrid, worker_count: int = 1) -> list[RunRecord]:
 
     Each run depends only on its own derived seeds, so the result is
     bit-identical for every ``worker_count``; parallelism only changes
-    the wall-clock time.
+    the wall-clock time.  At most one worker is started per run.
     """
     if worker_count < 1:
         raise SweepError("worker_count must be >= 1")
     specs = enumerate_cells(grid)
+    worker_count = min(worker_count, len(specs))
     if worker_count == 1:
         return [execute_run(grid, spec) for spec in specs]
     chunk = max(1, len(specs) // (worker_count * 16))

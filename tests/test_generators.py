@@ -219,10 +219,14 @@ def reference_ff(params, seed):
     FfParams(fw_prob=0.0),
     FfParams(fw_prob=0.5, bw_factor=2.0, n=150),  # pb >= 1 burns every in-neighbor
     FfParams(n=1),
+    FfParams(bw_factor=0.0),  # forward draws, no backward draw
+    # Forward success 1 - 2/3 is one ulp above GEOMETRIC_SEARCH_MIN_P: still replayed.
+    FfParams(fw_prob=2 / 3, n=150),
     # Geometric success below 1/3: draws come from the numpy Generator.
     FfParams(fw_prob=0.8, n=150),
     FfParams(fw_prob=0.6, bw_factor=1.5, n=150),
-], ids=["defaults", "ambs3", "tree", "burn-all-in", "n1", "numpy-fwd", "numpy-bwd"])
+], ids=["defaults", "ambs3", "tree", "burn-all-in", "n1", "no-bwd", "min-p-fwd",
+        "numpy-fwd", "numpy-bwd"])
 def test_ff_matches_reference_draw_for_draw(params):
     for seed in range(30):
         assert generate_ff(params, seed) == reference_ff(params, seed), seed

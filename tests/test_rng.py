@@ -1,10 +1,11 @@
 """PhiloxReplay: numpy Generator draws replayed from raw Philox output, exactly."""
 
 import random
+from bisect import bisect_right
 
 import numpy as np
 
-from womlab.rng import GEOMETRIC_SEARCH_MIN_P, PhiloxReplay, make_rng
+from womlab.rng import GEOMETRIC_SEARCH_MIN_P, PhiloxReplay, geometric_thresholds, make_rng
 
 # 2**31 + 1 rejects about half of its first draws.
 INTEGER_HIS = (1, 2, 7, 999, 2 ** 31, 2 ** 31 + 1, 2 ** 32 - 5, 2 ** 32)
@@ -42,8 +43,21 @@ def _replay_draw(replay, kind, arg):
     if kind == "integers":
         return replay.integers(arg)
     if kind == "geometric":
-        return replay.geometric(arg)
+        return bisect_right(geometric_thresholds(arg), replay.raw()) + 1
     return replay.choice(*arg)
+
+
+def _cdf_search(p, word):
+    """numpy's geometric CDF search on the double of one raw word, in loop form."""
+    u = (word >> 11) * (1.0 / 9007199254740992.0)
+    x = 1
+    total = prod = p
+    q = 1.0 - p
+    while u > total:
+        prod *= q
+        total += prod
+        x += 1
+    return x
 
 
 def test_replay_matches_generator_over_interleavings():
@@ -52,6 +66,19 @@ def test_replay_matches_generator_over_interleavings():
         replay = PhiloxReplay(np.random.Philox(seed))
         for step, (kind, arg) in enumerate(_draw_plan(seed)):
             assert _replay_draw(replay, kind, arg) == _numpy_draw(rng, kind, arg), (seed, step)
+
+
+def test_geometric_thresholds_match_the_cdf_search_at_every_boundary():
+    # For these p the search ends on every word: total reaches 1.0, or
+    # levels off at or above the largest double a word gives, 1 - 2**-53.
+    for p in GEOMETRIC_PS + (0.5, 0.99):
+        table = geometric_thresholds(p)
+        assert table == sorted(table)
+        words = {0, 2 ** 64 - 1}
+        for th in table[:8]:
+            words.update((th - 1, th))
+        for word in sorted(words):
+            assert bisect_right(table, word) + 1 == _cdf_search(p, word), (p, word)
 
 
 def test_replay_takes_over_a_pending_half_word():

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from womlab.generators import SiiParams, WsParams
+import womlab.sweep
+from womlab.generators import SiiParams, WsParams, generate_validated
 from womlab.sweep import (SIM_SEED_XOR, CellSummary, RunRecord, SweepError,
                           SweepGrid, aggregate, enumerate_cells, execute_run,
                           failure_count, run_sweep)
@@ -120,6 +121,56 @@ def test_failed_generation_is_flagged_not_fatal():
     assert len(records) == 3
     assert failure_count(records) == 3
     assert all(r.failed for r in records)
+
+
+def test_retried_runs_never_share_a_network(monkeypatch):
+    # Sparse islands disconnect often, so several runs retry; a retry seed
+    # must not be the next run's seed, or both runs get one network.
+    built = []
+
+    def recording(model, params, seed, max_retries):
+        graph, metrics, attempts = generate_validated(model, params, seed, max_retries)
+        built.append((graph.edges(), attempts))
+        return graph, metrics, attempts
+
+    monkeypatch.setattr(womlab.sweep, "generate_validated", recording)
+    grid = SweepGrid(network_model="sii",
+                     params=SiiParams(n_islands=4, island_size=8, p_in=0.35, n_inter=1),
+                     curious_values=(0.5,), enthusiastic_values=(0.5,),
+                     supporter_values=(0.0,), k_values=(0.1,),
+                     replications=20, base_seed=0)
+    records = run_sweep(grid, worker_count=1)
+    assert failure_count(records) == 0
+    assert sum(attempts > 1 for _, attempts in built) >= 5
+    edge_sets = [tuple(edges) for edges, _ in built]
+    assert len(set(edge_sets)) == len(edge_sets) == 20
+
+
+def test_pool_never_exceeds_the_run_count(monkeypatch):
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, processes, initializer, initargs):
+            sizes.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, iterable, chunksize):
+            return map(func, iterable)
+
+    monkeypatch.setattr(womlab.sweep.multiprocessing, "Pool", InlinePool)
+    monkeypatch.setattr(womlab.sweep, "_WORKER_GRID", None)
+    one_run = small_grid(curious_values=(0.3,), enthusiastic_values=(0.3,), replications=1)
+    two_runs = small_grid(curious_values=(0.3,), enthusiastic_values=(0.3,))
+    assert run_sweep(one_run, worker_count=4) == run_sweep(one_run, worker_count=1)
+    assert sizes == []
+    assert run_sweep(two_runs, worker_count=4) == run_sweep(two_runs, worker_count=1)
+    assert sizes == [2]
 
 
 def test_execute_run_is_pure():
