@@ -11,7 +11,7 @@ cell, write the records CSV and render one heatmap panel.
 from pathlib import Path
 
 from womlab import (SweepGrid, WsParams, aggregate, render_heatmap, run_sweep,
-                    write_records_csv, write_summaries_csv)
+                    write_records_csv)
 
 axis = tuple(i / 4 for i in range(5))
 grid = SweepGrid(
@@ -28,14 +28,12 @@ print(f"running {grid.run_count()} simulations ...")
 records = run_sweep(grid, worker_count=2)
 write_records_csv(records, "demo_records.csv")
 
-summaries = aggregate(records)
-write_summaries_csv(summaries, "demo_summaries.csv")
-
-csv_text, ppm_text = render_heatmap(summaries, ("ws", 0.01, 0.0))
+# One k and one supporters value: the whole grid is one panel.
+csv_text, ppm_text = render_heatmap(aggregate(records))
 Path("demo_heatmap.csv").write_text(csv_text)
 Path("demo_heatmap.ppm").write_text(ppm_text)
 
 print("\nmean final share holding awareness and expertise")
 print("(rows: enthusiastic, columns: curious)\n")
 print(csv_text)
-print("wrote demo_records.csv, demo_summaries.csv, demo_heatmap.csv, demo_heatmap.ppm")
+print("wrote demo_records.csv, demo_heatmap.csv, demo_heatmap.ppm")

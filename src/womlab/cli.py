@@ -218,7 +218,7 @@ def cmd_report(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for (model, k, supporters), panel in panels(summaries):
-        csv_text, ppm_text = render_heatmap(panel, (model, k, supporters))
+        csv_text, ppm_text = render_heatmap(panel)
         stem = f"heatmap_{model}_k{k:g}_s{supporters:g}"
         (out_dir / f"{stem}.csv").write_text(csv_text, encoding="utf-8")
         (out_dir / f"{stem}.ppm").write_text(ppm_text, encoding="utf-8")

@@ -110,9 +110,6 @@ class Graph:
         """Sorted neighbor ids of ``node``."""
         return self._indices[self._indptr[node]:self._indptr[node + 1]].tolist()
 
-    def degree(self, node: int) -> int:
-        return int(self._indptr[node + 1] - self._indptr[node])
-
     def csr_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return self._indptr, self._indices
 
@@ -219,16 +216,6 @@ def _distance_summary(g: Graph) -> tuple[float | None, int | None, bool]:
             result = (dist_sum / (n * (n - 1)), layer, True)
     g._distance_summary = result
     return result
-
-
-def average_path_length(g: Graph) -> float | None:
-    """Mean shortest-path length over all unordered node pairs; None if disconnected."""
-    return _distance_summary(g)[0]
-
-
-def diameter(g: Graph) -> int | None:
-    """Largest shortest-path distance; None if disconnected."""
-    return _distance_summary(g)[1]
 
 
 def is_connected(g: Graph) -> bool:

@@ -147,10 +147,6 @@ class World:
         self.awareness[i] = new_aw
         self.expertise[i] = new_ex
 
-    def _check_id(self, i: int) -> None:
-        if not (isinstance(i, (int, np.integer)) and 0 <= i < self.n):
-            raise ValueError(f"unknown agent id {i!r}")
-
     def aware_count(self) -> int:
         return self.n - sum(self.counts[UNAWARE * 3:UNAWARE * 3 + 3])
 
@@ -207,7 +203,7 @@ def init_population(graph: Graph, cfg: SimConfig) -> World:
     return world
 
 
-def deliver_awareness(world: World, agent_id: int) -> None:
+def _deliver_awareness(world: World, agent_id: int) -> None:
     """Make an agent aware of the innovation (no-op if it already is).
 
     A supporter holding expertise starts promoting; any other expertise
@@ -215,11 +211,6 @@ def deliver_awareness(world: World, agent_id: int) -> None:
     seeking, with its neighbor list shuffled into this episode's query
     order; an ignorant non-curious agent becomes passively aware.
     """
-    world._check_id(agent_id)
-    _deliver_awareness(world, agent_id)
-
-
-def _deliver_awareness(world: World, agent_id: int) -> None:
     if world.awareness[agent_id] != UNAWARE:
         return
     expertise = world.expertise[agent_id]
@@ -236,7 +227,7 @@ def _deliver_awareness(world: World, agent_id: int) -> None:
         world._move(agent_id, AWARE, IGNORANT)
 
 
-def deliver_expertise(world: World, agent_id: int) -> None:
+def _deliver_expertise(world: World, agent_id: int) -> None:
     """Hand expertise to an agent and back-propagate along open requests.
 
     No-op on agents already holding expertise.  Enthusiastic recipients
@@ -246,11 +237,6 @@ def deliver_expertise(world: World, agent_id: int) -> None:
     call.  (Iterative, order over the chain does not affect any agent's
     final state.)
     """
-    world._check_id(agent_id)
-    _deliver_expertise(world, agent_id)
-
-
-def _deliver_expertise(world: World, agent_id: int) -> None:
     stack = [agent_id]
     while stack:
         i = stack.pop()

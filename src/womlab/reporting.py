@@ -1,4 +1,4 @@
-"""Serialization: GraphML graphs, CSV records/summaries, heatmap panels.
+"""Serialization: GraphML graphs, metrics and records CSV, heatmap panels.
 
 All writers are byte-stable: serializing the same object twice yields
 identical bytes, and every text format ends with a trailing newline.
@@ -16,14 +16,12 @@ import xml.parsers.expat
 from pathlib import Path
 
 from .graph import Graph, GraphMetrics, build_graph
-from .sweep import CellSummary, RunRecord, cell_key
+from .sweep import CellSummary, RunRecord, cell_key, fmt6
 
 RECORDS_HEADER = ("network_model,network_seed,sim_seed,k,curious,enthusiastic,"
                   "supporters,final_aware,final_both,rounds,hit_max_rounds,"
                   "nodes,edges,density,avg_path_length,clustering,diameter")
 METRICS_HEADER = "nodes,edges,density,avg_path_length,clustering,diameter,connected"
-SUMMARIES_HEADER = ("network_model,k,supporters,curious,enthusiastic,"
-                    "mean_final_both,sd_final_both,mean_final_aware,mean_rounds,n")
 
 # One heatmap cell is rendered as a square block of this many pixels.
 HEATMAP_CELL_PX = 10
@@ -38,15 +36,11 @@ class CsvFormatError(ValueError):
 
 
 class HeatmapError(ValueError):
-    """Summaries do not form a complete rectangular panel."""
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.6f}"
+    """Summaries do not form one complete rectangular panel."""
 
 
 def _fmt_opt(x) -> str:
-    return "NA" if x is None else (_fmt(x) if isinstance(x, float) else str(x))
+    return "NA" if x is None else (fmt6(x) if isinstance(x, float) else str(x))
 
 
 # -- GraphML ---------------------------------------------------------------
@@ -77,7 +71,6 @@ def write_graphml(g: Graph, destination) -> int:
 
 
 def _parse_graphml(data: bytes):
-    node_order: list[str] = []
     node_index: dict[str, int] = {}
     edges: list[tuple[str, str, int]] = []
     state = {"graph_depth": 0, "seen_graph": False}
@@ -99,8 +92,7 @@ def _parse_graphml(data: bytes):
                 raise GraphMLError(f"<node> without id (line {line})")
             if node_id in node_index:
                 raise GraphMLError(f"duplicate node id {node_id!r} (line {line})")
-            node_index[node_id] = len(node_order)
-            node_order.append(node_id)
+            node_index[node_id] = len(node_index)
         elif local == "edge" and state["graph_depth"] == 1:
             source = attrs.get("source")
             target = attrs.get("target")
@@ -123,20 +115,19 @@ def _parse_graphml(data: bytes):
         raise GraphMLError(f"malformed XML: {exc}") from exc
     if not state["seen_graph"]:
         raise GraphMLError("no <graph> element found")
-    return node_order, node_index, edges
+    return node_index, edges
 
 
-def read_graphml(source, return_mapping: bool = False):
+def read_graphml(source) -> Graph:
     """Parse the undirected GraphML subset back into a graph.
 
     Arbitrary node ids are remapped onto dense integers in document
-    order; pass ``return_mapping=True`` to also get the
-    ``{original_id: index}`` dict.  Edges referencing undeclared nodes,
-    self-loops and directed graphs are rejected with their line number;
-    duplicate undirected edges collapse silently.
+    order.  Edges referencing undeclared nodes, self-loops and directed
+    graphs are rejected with their line number; duplicate undirected
+    edges collapse silently.
     """
     data = Path(source).read_bytes()
-    node_order, node_index, raw_edges = _parse_graphml(data)
+    node_index, raw_edges = _parse_graphml(data)
     pairs = []
     for source_id, target_id, line in raw_edges:
         try:
@@ -148,20 +139,17 @@ def read_graphml(source, return_mapping: bool = False):
         if u == v:
             raise GraphMLError(f"self-loop on node {source_id!r} (line {line})")
         pairs.append((u, v))
-    g = build_graph(len(node_order), pairs)
-    if return_mapping:
-        return g, dict(node_index)
-    return g
+    return build_graph(len(node_index), pairs)
 
 
-# -- metrics / records / summaries CSV ------------------------------------------
+# -- metrics / records CSV ------------------------------------------------------
 
 
 def metrics_csv_row(m: GraphMetrics) -> str:
     """One ``METRICS_HEADER`` row (no newline)."""
     return ",".join([
-        str(m.node_count), str(m.edge_count), _fmt(m.density),
-        _fmt_opt(m.avg_path_length), _fmt(m.global_clustering), _fmt_opt(m.diameter),
+        str(m.node_count), str(m.edge_count), fmt6(m.density),
+        _fmt_opt(m.avg_path_length), fmt6(m.global_clustering), _fmt_opt(m.diameter),
         "true" if m.connected else "false",
     ])
 
@@ -173,11 +161,11 @@ def records_csv_string(records: list[RunRecord]) -> str:
             raise ValueError("failed run records cannot be serialized; filter them first")
         rows.append(",".join([
             r.network_model, str(r.network_seed), str(r.sim_seed),
-            _fmt(r.k), _fmt(r.curious), _fmt(r.enthusiastic), _fmt(r.supporters),
-            _fmt(r.final_aware), _fmt(r.final_both), str(r.rounds),
+            fmt6(r.k), fmt6(r.curious), fmt6(r.enthusiastic), fmt6(r.supporters),
+            fmt6(r.final_aware), fmt6(r.final_both), str(r.rounds),
             "true" if r.hit_max_rounds else "false",
-            str(r.nodes), str(r.edges), _fmt(r.density),
-            _fmt_opt(r.avg_path_length), _fmt(r.clustering), _fmt_opt(r.diameter),
+            str(r.nodes), str(r.edges), fmt6(r.density),
+            _fmt_opt(r.avg_path_length), fmt6(r.clustering), _fmt_opt(r.diameter),
         ]))
     return "\n".join(rows) + "\n"
 
@@ -226,47 +214,6 @@ def read_records_csv(source) -> list[RunRecord]:
     return records
 
 
-def summaries_csv_string(summaries: list[CellSummary]) -> str:
-    rows = [SUMMARIES_HEADER]
-    for s in summaries:
-        rows.append(",".join([
-            s.network_model, _fmt(s.k), _fmt(s.supporters), _fmt(s.curious),
-            _fmt(s.enthusiastic), _fmt(s.mean_final_both), _fmt(s.sd_final_both),
-            _fmt(s.mean_final_aware), _fmt(s.mean_rounds), str(s.n),
-        ]))
-    return "\n".join(rows) + "\n"
-
-
-def write_summaries_csv(summaries: list[CellSummary], destination) -> int:
-    data = summaries_csv_string(summaries).encode("utf-8")
-    Path(destination).write_bytes(data)
-    return len(data)
-
-
-def read_summaries_csv(source) -> list[CellSummary]:
-    lines = Path(source).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != SUMMARIES_HEADER:
-        raise CsvFormatError("summaries CSV header does not match the schema")
-    summaries = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 10:
-            raise CsvFormatError(f"summaries CSV line {lineno}: expected 10 fields")
-        try:
-            summaries.append(CellSummary(
-                network_model=parts[0], k=float(parts[1]), supporters=float(parts[2]),
-                curious=float(parts[3]), enthusiastic=float(parts[4]),
-                mean_final_both=float(parts[5]), sd_final_both=float(parts[6]),
-                mean_final_aware=float(parts[7]), mean_rounds=float(parts[8]),
-                n=int(parts[9]),
-            ))
-        except ValueError as exc:
-            raise CsvFormatError(f"summaries CSV line {lineno}: {exc}") from None
-    return summaries
-
-
 # -- heatmaps ----------------------------------------------------------------
 
 
@@ -275,59 +222,56 @@ def _heat_color(v: float) -> tuple[int, int, int]:
     return (int(255 * v + 0.5), int(255 * v + 0.5), int(64 + 191 * v + 0.5))
 
 
-def render_heatmap(summaries: list[CellSummary],
-                   panel_key: tuple[str, float, float],
-                   cell_px: int = HEATMAP_CELL_PX) -> tuple[str, str]:
-    """Render one (network_model, k, supporters) panel.
+def render_heatmap(panel: list[CellSummary]) -> tuple[str, str]:
+    """Render one (network_model, k, supporters) panel's summaries, as
+    ``panels`` yields them.
 
     Returns ``(csv_text, ppm_text)``.  The CSV matrix has curious values
     as columns and enthusiastic values as rows (ascending downward); the
-    PPM image puts low enthusiastic at the bottom, like a plot.  Cell
-    values are mean_final_both mapped linearly from dark (0) to bright
-    (1); every missing grid cell is reported.
-
-    Summaries of other panels are skipped, but each one is still keyed:
-    pass only the panel's own summaries (see ``panels``) to keep the cost
-    proportional to the panel.
+    PPM image puts low enthusiastic at the bottom, like a plot, with one
+    ``HEATMAP_CELL_PX`` square block per cell.  Cell values are
+    mean_final_both mapped linearly from dark (0) to bright (1); every
+    missing grid cell is reported, and summaries of more than one panel
+    are rejected.
     """
-    model, k, supporters = panel_key
-    wanted = (model, _fmt(k), _fmt(supporters))
-    panel = {}
-    for s in summaries:
-        cell = cell_key(s)
-        if cell[:3] == wanted:
-            key = cell[3:]
-            if key in panel:
-                raise HeatmapError(f"duplicate cell curious={key[0]} enthusiastic={key[1]}")
-            panel[key] = s
     if not panel:
-        raise HeatmapError(f"no summaries for panel {model} k={k:g} supporters={supporters:g}")
-    curious_axis = sorted({c for c, _ in panel}, key=float)
-    enth_axis = sorted({e for _, e in panel}, key=float)
-    holes = [(c, e) for c in curious_axis for e in enth_axis if (c, e) not in panel]
+        raise HeatmapError("no summaries for the panel")
+    panel_id = cell_key(panel[0])[:3]
+    cells = {}
+    for s in panel:
+        cell = cell_key(s)
+        if cell[:3] != panel_id:
+            raise HeatmapError(f"summaries span more than one panel: {panel_id} and {cell[:3]}")
+        key = cell[3:]
+        if key in cells:
+            raise HeatmapError(f"duplicate cell curious={key[0]} enthusiastic={key[1]}")
+        cells[key] = s
+    curious_axis = sorted({c for c, _ in cells}, key=float)
+    enth_axis = sorted({e for _, e in cells}, key=float)
+    holes = [(c, e) for c in curious_axis for e in enth_axis if (c, e) not in cells]
     if holes:
         listing = ", ".join(f"(curious={c}, enthusiastic={e})" for c, e in holes[:20])
         more = "" if len(holes) <= 20 else f" and {len(holes) - 20} more"
         raise HeatmapError(f"incomplete panel, missing cells: {listing}{more}")
 
-    values = {key: s.mean_final_both for key, s in panel.items()}
+    values = {key: s.mean_final_both for key, s in cells.items()}
     if any(not 0.0 <= v <= 1.0 for v in values.values()):
         raise HeatmapError("cell values must lie in [0, 1]")
 
     csv_lines = ["enthusiastic," + ",".join(curious_axis)]
     for e in enth_axis:
-        csv_lines.append(e + "," + ",".join(_fmt(values[(c, e)]) for c in curious_axis))
+        csv_lines.append(e + "," + ",".join(fmt6(values[(c, e)]) for c in curious_axis))
     csv_text = "\n".join(csv_lines) + "\n"
 
-    width = len(curious_axis) * cell_px
-    height = len(enth_axis) * cell_px
+    width = len(curious_axis) * HEATMAP_CELL_PX
+    height = len(enth_axis) * HEATMAP_CELL_PX
     ppm_lines = ["P3", f"{width} {height}", "255"]
     for e in reversed(enth_axis):
         row_colors = [_heat_color(values[(c, e)]) for c in curious_axis]
-        # One image row's text, repeated for the cell_px rows of the block.
+        # One image row's text, repeated for each pixel row of the block.
         pixel_row = "\n".join([f"{r} {g} {b}" for (r, g, b) in row_colors
-                               for _ in range(cell_px)])
-        ppm_lines.extend([pixel_row] * cell_px)
+                               for _ in range(HEATMAP_CELL_PX)])
+        ppm_lines.extend([pixel_row] * HEATMAP_CELL_PX)
     ppm_text = "\n".join(ppm_lines) + "\n"
     return csv_text, ppm_text
 
@@ -335,7 +279,8 @@ def render_heatmap(summaries: list[CellSummary],
 def panels(summaries: list[CellSummary]
            ) -> list[tuple[tuple[str, float, float], list[CellSummary]]]:
     """The summaries grouped by (network_model, k, supporters) panel, as
-    ``(panel_key, panel_summaries)`` pairs in sorted panel order.
+    ``((network_model, k, supporters), panel_summaries)`` pairs in sorted
+    panel order.
 
     Panels are told apart by ``cell_key``; a panel keeps its summaries in
     input order and takes its key's values from the last of them.

@@ -60,6 +60,14 @@ class SweepGrid:
                 raise SweepError(f"{name} must not be empty")
             if any(not 0.0 <= v <= 1.0 for v in values):
                 raise SweepError(f"{name} must lie in [0, 1]")
+            # Values that print alike would run as one cell (see cell_key).
+            seen: dict[str, float] = {}
+            for v in values:
+                text = fmt6(v)
+                if text in seen:
+                    raise SweepError(f"{name} values {seen[text]!r} and {v!r} both print "
+                                     f"as {text}, so they would run as one cell")
+                seen[text] = v
             setattr(self, name, values)
         if self.replications < 1:
             raise SweepError("replications must be >= 1")
@@ -74,14 +82,13 @@ class SweepGrid:
 
 
 class RunSpec(NamedTuple):
-    """One scheduled run: cell coordinates, replicate and derived seeds."""
+    """One scheduled run: its index, cell coordinates and derived seeds."""
 
     index: int
     k: float
     supporters: float
     curious: float
     enthusiastic: float
-    replicate: int
     network_seed: int
     sim_seed: int
 
@@ -140,9 +147,9 @@ def enumerate_cells(grid: SweepGrid) -> list[RunSpec]:
         for sup in grid.supporter_values:
             for cur in grid.curious_values:
                 for enth in grid.enthusiastic_values:
-                    for rep in range(grid.replications):
+                    for _ in range(grid.replications):
                         network_seed = (grid.base_seed + index) & SEED_MASK
-                        specs.append(RunSpec(index, k, sup, cur, enth, rep,
+                        specs.append(RunSpec(index, k, sup, cur, enth,
                                              network_seed, network_seed ^ SIM_SEED_XOR))
                         index += 1
     return specs
@@ -225,12 +232,17 @@ def failure_count(records: list[RunRecord]) -> int:
     return sum(1 for r in records if r.failed)
 
 
+def fmt6(x: float) -> str:
+    """A real as every CSV output writes it, and as ``cell_key`` compares it."""
+    return f"{x:.6f}"
+
+
 def cell_key(cell: RunRecord | CellSummary) -> tuple[str, str, str, str, str]:
     """Identity of a record's or summary's grid cell: the model, then
-    k, supporters, curious and enthusiastic at the 6 decimals the CSV
-    layer writes, so values that print alike fall into one cell."""
-    return (cell.network_model, f"{cell.k:.6f}", f"{cell.supporters:.6f}",
-            f"{cell.curious:.6f}", f"{cell.enthusiastic:.6f}")
+    k, supporters, curious and enthusiastic as ``fmt6`` writes them, so
+    values that print alike fall into one cell."""
+    return (cell.network_model, fmt6(cell.k), fmt6(cell.supporters),
+            fmt6(cell.curious), fmt6(cell.enthusiastic))
 
 
 def aggregate(records: list[RunRecord]) -> list[CellSummary]:

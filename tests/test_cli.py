@@ -195,6 +195,21 @@ def test_sweep_all_failed_exits_2(tmp_path, capsys):
     assert out.read_text().count("\n") == 1  # header only
 
 
+@pytest.mark.parametrize("curious", ["0.5,0.5,0", "0.5,0.5000000001"])
+def test_sweep_axis_values_that_print_alike_exit_2_before_any_run(tmp_path, capsys,
+                                                                  monkeypatch, curious):
+    started = []
+    monkeypatch.setattr("womlab.cli.run_sweep", lambda *args: started.append(args))
+    out = tmp_path / "records.csv"
+    code, stdout, err = run_cli(capsys, "sweep", "--model", "ws", "--n", "30", "--nei", "2",
+                                "--curious", curious, "--enthusiastic", "0",
+                                "--supporters", "0", "--k", "0.1", "--reps", "2",
+                                "--out", str(out))
+    assert code == EXIT_RUNTIME
+    assert "curious_values values 0.5 and" in err and "0.500000" in err
+    assert started == [] and stdout == "" and not out.exists()
+
+
 # -- report ----------------------------------------------------------------------
 
 

@@ -29,6 +29,14 @@ GENERATE_STDOUT_SHA256 = "74e5eee7b8e4872cba9054429db4abbaa03416956c17d5ace9d284
 SIMULATE_STDOUT_SHA256 = "a2939c4f32a5af6fbc6a0211a088b7ea950ed49efc453914ddf8338f9e58ff7a"
 SIMULATE_TRACE_SHA256 = "87c72514cbb80a81eb44e3fb06b6588bba2a916b4f70004e5a43f4f924929e45"
 
+# Sparse islands: several of these runs need connectivity retries, so the
+# digest pins the retry seeds (see test_retried_runs_never_share_a_network).
+RETRY_SWEEP_FLAGS = ("--model", "sii", "--islands", "4", "--island-size", "8",
+                     "--p-in", "0.35", "--inter", "1", "--k", "0.1", "--supporters", "0",
+                     "--curious", "0.5", "--enthusiastic", "0.5", "--reps", "20",
+                     "--base-seed", "0")
+RETRY_SWEEP_RECORDS_SHA256 = "8add0207f29caccbe2c2a89b9017255a333e2571ad0f20bac3e415bd8ecbff87"
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -45,6 +53,14 @@ def test_sweep_records_digest(model, tmp_path, capsys):
     stdout = run_cli(capsys, "sweep", "--model", model, *SWEEP_FLAGS, "--out", str(out))
     assert stdout == b"runs: 8, failed: 0\n"
     assert sha256(out.read_bytes()) == SWEEP_RECORDS_SHA256[model]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_retried_sweep_records_digest(jobs, tmp_path, capsys):
+    out = tmp_path / "records.csv"
+    stdout = run_cli(capsys, "sweep", *RETRY_SWEEP_FLAGS, "--jobs", jobs, "--out", str(out))
+    assert stdout == b"runs: 20, failed: 0\n"
+    assert sha256(out.read_bytes()) == RETRY_SWEEP_RECORDS_SHA256
 
 
 def test_generate_and_simulate_digests(tmp_path, capsys):

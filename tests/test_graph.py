@@ -8,9 +8,8 @@ import pytest
 
 from womlab.generators import MODEL_IDS, default_params, generate
 from womlab.graph import (Graph, GraphConstructionError, MetricDomainError,
-                          _distance_summary, average_path_length, build_graph,
-                          compute_metrics, density, diameter, global_clustering,
-                          is_connected)
+                          _distance_summary, build_graph, compute_metrics, density,
+                          global_clustering, is_connected)
 
 INF = math.inf
 
@@ -145,7 +144,7 @@ def test_out_of_range_id_rejected():
 def test_complete_graph_k5():
     g = complete_graph(5)
     assert g.edge_count == 10
-    assert all(g.degree(i) == 4 for i in range(5))
+    assert np.diff(g.csr_arrays()[0]).tolist() == [4] * 5
 
 
 def test_adjacency_symmetric_and_sorted():
@@ -186,16 +185,16 @@ def test_density_complete_graphs_exhaustive():
 
 
 def test_average_path_length_examples():
-    assert average_path_length(complete_graph(4)) == pytest.approx(1.0)
-    assert average_path_length(path_graph(3)) == pytest.approx(4 / 3)
+    assert _distance_summary(complete_graph(4))[0] == pytest.approx(1.0)
+    assert _distance_summary(path_graph(3))[0] == pytest.approx(4 / 3)
     star = build_graph(5, [(0, i) for i in range(1, 5)])
-    assert average_path_length(star) == pytest.approx(1.6)
+    assert _distance_summary(star)[0] == pytest.approx(1.6)
 
 
 def test_diameter_examples():
-    assert diameter(complete_graph(4)) == 1
-    assert diameter(path_graph(5)) == 4
-    assert diameter(cycle_graph(10)) == 5
+    assert _distance_summary(complete_graph(4))[1] == 1
+    assert _distance_summary(path_graph(5))[1] == 4
+    assert _distance_summary(cycle_graph(10))[1] == 5
 
 
 def test_is_connected_examples():
@@ -208,8 +207,7 @@ def test_is_connected_examples():
 
 def test_disconnected_markers():
     g = build_graph(4, [(0, 1), (2, 3)])
-    assert average_path_length(g) is None
-    assert diameter(g) is None
+    assert _distance_summary(g) == (None, None, False)
 
 
 # -- clustering ---------------------------------------------------------------
@@ -265,12 +263,13 @@ def test_path_metrics_match_floyd_warshall_oracle():
         n = int(rng.integers(2, 13))
         g = random_graph(rng, n, float(rng.random()))
         apl, diam, connected = oracle_path_stats(g)
-        assert is_connected(g) == connected, trial
+        got_apl, got_diam, got_connected = _distance_summary(g)
+        assert is_connected(g) == got_connected == connected, trial
         if connected:
-            assert average_path_length(g) == pytest.approx(apl, abs=1e-12), trial
-            assert diameter(g) == diam, trial
+            assert got_apl == pytest.approx(apl, abs=1e-12), trial
+            assert got_diam == diam, trial
         else:
-            assert average_path_length(g) is None and diameter(g) is None, trial
+            assert got_apl is None and got_diam is None, trial
 
 
 def test_clustering_matches_enumeration_oracle():
@@ -335,6 +334,5 @@ def test_connected_graph_metric_ordering():
         if not is_connected(g):
             continue
         checked += 1
-        apl = average_path_length(g)
-        diam = diameter(g)
+        apl, diam, _ = _distance_summary(g)
         assert 1 <= apl <= diam <= n - 1

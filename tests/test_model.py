@@ -10,8 +10,8 @@ from womlab.generators import (FfParams, SiiParams, WsParams, generate_ff, gener
                                generate_ws)
 from womlab.graph import build_graph
 from womlab.model import (AWARE, IGNORANT, KNOWLEDGEABLE, PROACTIVE, SEEKING,
-                          UNAWARE, SimConfig, SimResult, World, deliver_awareness,
-                          deliver_expertise, init_population, run, step)
+                          UNAWARE, SimConfig, SimResult, World, _deliver_awareness,
+                          _deliver_expertise, init_population, run, step)
 from womlab.rng import round_half_up
 
 BASE = dict(k=0.0, p_curious=0.0, p_enthusiastic=0.0, p_supporter=0.0,
@@ -94,20 +94,20 @@ def test_init_deterministic():
     assert w1.curious == w2.curious and w1.supporter == w2.supporter
 
 
-# -- deliver_awareness --------------------------------------------------------
+# -- _deliver_awareness -------------------------------------------------------
 
 
 def test_awareness_curious_starts_seeking():
     w = make_world(line_graph(3))
     w.curious[1] = True
-    deliver_awareness(w, 1)
+    _deliver_awareness(w, 1)
     assert w.awareness[1] == SEEKING
     assert sorted(w.episode[1]) == [0, 2]
 
 
 def test_awareness_noncurious_becomes_aware():
     w = make_world(line_graph(3))
-    deliver_awareness(w, 1)
+    _deliver_awareness(w, 1)
     assert w.awareness[1] == AWARE
     assert w.expertise[1] == IGNORANT
 
@@ -116,7 +116,7 @@ def test_awareness_expert_supporter_promotes():
     w = make_world(line_graph(3), t_promote=4)
     w._move(1, UNAWARE, KNOWLEDGEABLE)
     w.supporter[1] = True
-    deliver_awareness(w, 1)
+    _deliver_awareness(w, 1)
     assert w.awareness[1] == AWARE
     assert w.expertise[1] == PROACTIVE
     assert sorted(w.episode[1]) == [0, 2]  # budget 4, two neighbors
@@ -125,7 +125,7 @@ def test_awareness_expert_supporter_promotes():
 def test_awareness_expert_non_supporter_stays_passive():
     w = make_world(line_graph(3))
     w._move(1, UNAWARE, KNOWLEDGEABLE)
-    deliver_awareness(w, 1)
+    _deliver_awareness(w, 1)
     assert w.awareness[1] == AWARE
     assert w.expertise[1] == KNOWLEDGEABLE
 
@@ -133,30 +133,22 @@ def test_awareness_expert_non_supporter_stays_passive():
 def test_awareness_idempotent():
     w = make_world(line_graph(3))
     w.curious[1] = True
-    deliver_awareness(w, 1)
+    _deliver_awareness(w, 1)
     first = agent_lists(w)
-    deliver_awareness(w, 1)
+    _deliver_awareness(w, 1)
     assert agent_lists(w) == first
 
 
-def test_awareness_unknown_agent():
-    w = make_world(line_graph(3))
-    with pytest.raises(ValueError):
-        deliver_awareness(w, 7)
-    with pytest.raises(ValueError):
-        deliver_expertise(w, -1)
-
-
-# -- deliver_expertise ----------------------------------------------------------
+# -- _deliver_expertise ---------------------------------------------------------
 
 
 def test_expertise_seeker_enthusiastic_promotes():
     w = make_world(line_graph(3), t_promote=6)
     w.curious[1] = True
     w.enthusiastic[1] = True
-    deliver_awareness(w, 1)
+    _deliver_awareness(w, 1)
     seeking = w.episode[1]
-    deliver_expertise(w, 1)
+    _deliver_expertise(w, 1)
     assert w.awareness[1] == AWARE
     assert w.expertise[1] == PROACTIVE
     assert sorted(w.episode[1]) == [0, 2]  # budget 6, two neighbors
@@ -166,8 +158,8 @@ def test_expertise_seeker_enthusiastic_promotes():
 def test_expertise_seeker_passive_becomes_knowledgeable():
     w = make_world(line_graph(3))
     w.curious[1] = True
-    deliver_awareness(w, 1)
-    deliver_expertise(w, 1)
+    _deliver_awareness(w, 1)
+    _deliver_expertise(w, 1)
     assert w.awareness[1] == AWARE
     assert w.expertise[1] == KNOWLEDGEABLE
     assert w.episode[1] is None
@@ -176,7 +168,7 @@ def test_expertise_seeker_passive_becomes_knowledgeable():
 def test_expertise_idempotent():
     w = make_world(line_graph(3))
     w._move(1, UNAWARE, KNOWLEDGEABLE)
-    deliver_expertise(w, 1)
+    _deliver_expertise(w, 1)
     assert w.expertise[1] == KNOWLEDGEABLE
 
 
@@ -185,11 +177,11 @@ def test_gathering_chain_backpropagates():
     w = make_world(line_graph(3))
     for i in (0, 1):
         w.curious[i] = True
-    deliver_awareness(w, 0)
-    deliver_awareness(w, 1)
+    _deliver_awareness(w, 0)
+    _deliver_awareness(w, 1)
     w.pending[1].append(0)
     w.pending[2].append(1)
-    deliver_expertise(w, 2)
+    _deliver_expertise(w, 2)
     assert all(w.expertise[i] != IGNORANT for i in range(3))
     assert w.awareness[0] == AWARE and w.awareness[1] == AWARE
     assert w.pending == [[], [], []]
@@ -200,11 +192,11 @@ def test_chain_survives_give_up():
     # arriving at 1 later still reaches 0 through the recorded request.
     w = make_world(line_graph(2))
     w.curious[0] = True
-    deliver_awareness(w, 0)
+    _deliver_awareness(w, 0)
     step(w)  # 0 queries 1 (no expertise), exhausts, gives up
     assert w.awareness[0] == AWARE
     assert 0 in w.pending[1]
-    deliver_expertise(w, 1)
+    _deliver_expertise(w, 1)
     assert w.expertise[0] != IGNORANT
 
 
@@ -213,7 +205,7 @@ def test_long_chain_no_recursion_limit():
     w = make_world(line_graph(n))
     for i in range(n - 1):
         w.pending[i + 1].append(i)
-    deliver_expertise(w, n - 1)
+    _deliver_expertise(w, n - 1)
     assert all(e != IGNORANT for e in w.expertise)
 
 
@@ -233,7 +225,7 @@ def test_step_two_node_query_grant():
     w = make_world(build_graph(2, [(0, 1)]))
     w.curious[0] = True
     w._move(1, UNAWARE, KNOWLEDGEABLE)
-    deliver_awareness(w, 0)
+    _deliver_awareness(w, 0)
     step(w)
     assert w.expertise[0] != IGNORANT and w.expertise[1] != IGNORANT
     assert w.awareness[0] == AWARE and w.awareness[1] == AWARE
@@ -243,7 +235,7 @@ def test_step_promoter_lifetime_expiry():
     w = make_world(line_graph(3), t_promote=1)
     w._move(1, UNAWARE, KNOWLEDGEABLE)
     w.supporter[1] = True
-    deliver_awareness(w, 1)
+    _deliver_awareness(w, 1)
     assert w.expertise[1] == PROACTIVE
     step(w)
     assert w.expertise[1] == KNOWLEDGEABLE
@@ -255,7 +247,7 @@ def test_step_hub_promoter_pushes_only_its_budget():
     w = make_world(build_graph(7, [(0, leaf) for leaf in range(1, 7)]), t_promote=3)
     w._move(0, UNAWARE, KNOWLEDGEABLE)
     w.supporter[0] = True
-    deliver_awareness(w, 0)
+    _deliver_awareness(w, 0)
     assert len(w.episode[0]) == 3
     for pushed in (1, 2, 3):
         assert w.expertise[0] == PROACTIVE
@@ -270,7 +262,7 @@ def test_step_promoter_pushes_both_to_passive_target():
     w = make_world(line_graph(2), t_promote=5)
     w._move(0, UNAWARE, KNOWLEDGEABLE)
     w.supporter[0] = True
-    deliver_awareness(w, 0)
+    _deliver_awareness(w, 0)
     step(w)
     assert w.awareness[1] == AWARE
     assert w.expertise[1] == KNOWLEDGEABLE
@@ -283,7 +275,7 @@ def test_step_pushed_curious_target_keeps_seeking():
     w._move(0, UNAWARE, KNOWLEDGEABLE)
     w.supporter[0] = True
     w.curious[1] = True
-    deliver_awareness(w, 0)
+    _deliver_awareness(w, 0)
     step(w)
     assert w.awareness[1] in (SEEKING, AWARE)
     # within at most one more round the seeker queries the promoter
@@ -492,7 +484,7 @@ def _ref_start_promoting(w, ref, i):
 
 
 def _ref_deliver_awareness(w, ref, i, cause="contact"):
-    w._check_id(i)
+    assert 0 <= i < w.n
     if w.awareness[i] != UNAWARE:
         return
     if cause == "ad":
@@ -515,7 +507,7 @@ def _ref_deliver_awareness(w, ref, i, cause="contact"):
 
 
 def _ref_deliver_expertise(w, ref, agent_id):
-    w._check_id(agent_id)
+    assert 0 <= agent_id < w.n
     stack = [agent_id]
     while stack:
         i = stack.pop()

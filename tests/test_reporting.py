@@ -1,18 +1,16 @@
 """GraphML round-trips, CSV schemas and heatmap rendering."""
 
+import dataclasses
 import itertools
 
 import pytest
 
 from womlab.generators import FfParams, SiiParams, WsParams, generate
 from womlab.graph import build_graph
-from womlab.reporting import (GraphMLError, CsvFormatError, HeatmapError,
-                              RECORDS_HEADER, SUMMARIES_HEADER, graphml_string,
-                              panels, read_graphml, read_records_csv,
-                              read_summaries_csv, records_csv_string,
-                              render_heatmap, summaries_csv_string,
-                              write_graphml, write_records_csv,
-                              write_summaries_csv)
+from womlab.reporting import (HEATMAP_CELL_PX, GraphMLError, CsvFormatError,
+                              HeatmapError, RECORDS_HEADER, graphml_string, panels,
+                              read_graphml, read_records_csv, records_csv_string,
+                              render_heatmap, write_graphml, write_records_csv)
 from womlab.sweep import CellSummary, SweepGrid, aggregate, run_sweep
 from test_sweep import record, small_grid
 
@@ -87,15 +85,18 @@ def test_graphml_tolerates_foreign_data(tmp_path):
         '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">\n'
         '  <key id="d0" for="node" attr.name="color" attr.type="string"/>\n'
         '  <graph id="G" edgedefault="undirected">\n'
-        '    <node id="a"><data key="d0">red</data></node>\n'
+        '    <node id="c"><data key="d0">red</data></node>\n'
+        '    <node id="e"/>\n'
+        '    <node id="a"/>\n'
         '    <node id="b"/>\n'
-        '    <edge source="a" target="b" weight="2"><data key="d0">x</data></edge>\n'
+        '    <edge source="a" target="c" weight="2"><data key="d0">x</data></edge>\n'
+        '    <edge source="c" target="b"/>\n'
         '  </graph>\n'
         '</graphml>\n')
-    g, mapping = read_graphml(path, return_mapping=True)
-    assert g.node_count == 2
-    assert g.edges() == [(0, 1)]
-    assert mapping == {"a": 0, "b": 1}
+    g = read_graphml(path)
+    # Ids map in document order (c, e, a, b), not sorted (a, b, c, e).
+    assert g.node_count == 4
+    assert g.edges() == [(0, 2), (0, 3)]
 
 
 def test_graphml_dangling_endpoint_reports_line(tmp_path):
@@ -140,7 +141,7 @@ def test_graphml_duplicate_edges_collapse(tmp_path):
     assert read_graphml(path).edge_count == 1
 
 
-# -- records / summaries CSV -----------------------------------------------------
+# -- records CSV -----------------------------------------------------------------
 
 
 def test_records_csv_empty_and_single(tmp_path):
@@ -224,36 +225,9 @@ def test_records_csv_non_numeric_field_names_file_line(tmp_path):
         read_records_csv(path)
 
 
-def test_summaries_csv_non_numeric_field_names_file_line(tmp_path):
-    rows = summaries_csv_string(aggregate([record(0.5)])).splitlines()
-    fields = rows[1].split(",")
-    fields[9] = "x"  # n
-    path = tmp_path / "summaries.csv"
-    path.write_text("\n".join((rows[0], rows[1], ",".join(fields))) + "\n")
-    with pytest.raises(CsvFormatError, match="summaries CSV line 3: .*'x'"):
-        read_summaries_csv(path)
-
-
-def test_summaries_csv_round_trip(tmp_path):
-    grid = small_grid()
-    summaries = aggregate(run_sweep(grid, worker_count=1))
-    path = tmp_path / "summaries.csv"
-    write_summaries_csv(summaries, path)
-    back = read_summaries_csv(path)
-    assert len(back) == len(summaries)
-    for a, b in zip(summaries, back):
-        assert a.network_model == b.network_model
-        assert a.mean_final_both == pytest.approx(b.mean_final_both, abs=1e-6)
-        assert a.mean_rounds == pytest.approx(b.mean_rounds, abs=1e-6)
-        assert a.n == b.n
-    assert summaries_csv_string(back).startswith(SUMMARIES_HEADER)
-
-
 def test_csv_byte_stability():
     records = [record(0.25), record(0.75, sim_seed=2)]
     assert records_csv_string(records) == records_csv_string(records)
-    summaries = aggregate(records)
-    assert summaries_csv_string(summaries) == summaries_csv_string(summaries)
 
 
 # -- heatmaps -----------------------------------------------------------------
@@ -271,33 +245,37 @@ def grid_summaries(values):
     return [summary(c, e, values[(c, e)]) for c in (0.0, 1.0) for e in (0.0, 1.0)]
 
 
+def pixel_rows(*cell_colors):
+    # One image row of a row of cells, as HEATMAP_CELL_PX pixel rows.
+    return [color for color in cell_colors for _ in range(HEATMAP_CELL_PX)] * HEATMAP_CELL_PX
+
+
 def test_heatmap_uniform_dark():
     csv_text, ppm_text = render_heatmap(
-        grid_summaries({(c, e): 0.0 for c in (0.0, 1.0) for e in (0.0, 1.0)}),
-        ("ws", 0.01, 0.0), cell_px=1)
+        grid_summaries({(c, e): 0.0 for c in (0.0, 1.0) for e in (0.0, 1.0)}))
     assert csv_text.splitlines()[1:] == ["0.000000,0.000000,0.000000",
                                          "1.000000,0.000000,0.000000"]
     pixels = ppm_text.splitlines()[3:]
-    assert pixels == ["0 0 64"] * 4
+    assert pixels == ["0 0 64"] * (4 * HEATMAP_CELL_PX ** 2)
 
 
 def test_heatmap_uniform_bright():
     _, ppm_text = render_heatmap(
-        grid_summaries({(c, e): 1.0 for c in (0.0, 1.0) for e in (0.0, 1.0)}),
-        ("ws", 0.01, 0.0), cell_px=1)
-    assert ppm_text.splitlines()[3:] == ["255 255 255"] * 4
+        grid_summaries({(c, e): 1.0 for c in (0.0, 1.0) for e in (0.0, 1.0)}))
+    assert ppm_text.splitlines()[3:] == ["255 255 255"] * (4 * HEATMAP_CELL_PX ** 2)
 
 
 def test_heatmap_2x2_distinct_blocks():
     values = {(0.0, 0.0): 0.0, (1.0, 0.0): 1.0, (0.0, 1.0): 0.5, (1.0, 1.0): 0.5}
-    csv_text, ppm_text = render_heatmap(grid_summaries(values), ("ws", 0.01, 0.0),
-                                        cell_px=1)
-    lines = ppm_text.splitlines()
-    assert lines[:3] == ["P3", "2 2", "255"]
-    # top row is enthusiastic=1.0: both cells 0.5 -> (128, 128, 160) (half-up)
-    assert lines[3] == "128 128 160" and lines[4] == "128 128 160"
-    # bottom row is enthusiastic=0.0: curious 0 -> dark, curious 1 -> bright
-    assert lines[5] == "0 0 64" and lines[6] == "255 255 255"
+    csv_text, ppm_text = render_heatmap(grid_summaries(values))
+    side = 2 * HEATMAP_CELL_PX
+    assert ppm_text == "\n".join([
+        "P3", f"{side} {side}", "255",
+        # top row is enthusiastic=1.0: both cells 0.5 -> (128, 128, 160) (half-up)
+        *pixel_rows("128 128 160", "128 128 160"),
+        # bottom row is enthusiastic=0.0: curious 0 -> dark, curious 1 -> bright
+        *pixel_rows("0 0 64", "255 255 255"),
+    ]) + "\n"
     rows = csv_text.splitlines()
     assert rows[0] == "enthusiastic,0.000000,1.000000"
     assert rows[1] == "0.000000,0.000000,1.000000"
@@ -306,38 +284,55 @@ def test_heatmap_2x2_distinct_blocks():
 
 def test_heatmap_block_size():
     values = {(0.0, 0.0): 0.0, (1.0, 0.0): 1.0, (0.0, 1.0): 0.5, (1.0, 1.0): 0.5}
-    _, ppm_text = render_heatmap(grid_summaries(values), ("ws", 0.01, 0.0), cell_px=3)
+    summaries = grid_summaries(values) + [summary(0.5, e, 0.25) for e in (0.0, 1.0)]
+    _, ppm_text = render_heatmap(summaries)
     lines = ppm_text.splitlines()
-    assert lines[1] == "6 6"
-    assert len(lines) == 3 + 36
+    assert lines[1] == f"{3 * HEATMAP_CELL_PX} {2 * HEATMAP_CELL_PX}"
+    assert len(lines) == 3 + 6 * HEATMAP_CELL_PX ** 2
 
 
 def test_heatmap_missing_cells_listed():
     values = {(0.0, 0.0): 0.0, (1.0, 0.0): 1.0, (0.0, 1.0): 0.5, (1.0, 1.0): 0.5}
     summaries = grid_summaries(values)[:-1]
     with pytest.raises(HeatmapError, match="missing cells"):
-        render_heatmap(summaries, ("ws", 0.01, 0.0))
+        render_heatmap(summaries)
 
 
 def test_heatmap_empty_panel():
     with pytest.raises(HeatmapError, match="no summaries"):
-        render_heatmap([summary(0.0, 0.0, 0.5)], ("ff", 0.01, 0.0))
+        render_heatmap([])
+
+
+def test_heatmap_duplicate_cell():
+    values = {(0.0, 0.0): 0.0, (1.0, 0.0): 1.0, (0.0, 1.0): 0.5, (1.0, 1.0): 0.5}
+    summaries = grid_summaries(values) + [summary(1.0, 1.0 + 1e-12, 0.5)]
+    with pytest.raises(HeatmapError, match="duplicate cell"):
+        render_heatmap(summaries)
+
+
+def test_heatmap_value_out_of_range():
+    values = {(0.0, 0.0): 0.0, (1.0, 0.0): 1.0, (0.0, 1.0): 0.5, (1.0, 1.0): 1.5}
+    with pytest.raises(HeatmapError, match=r"\[0, 1\]"):
+        render_heatmap(grid_summaries(values))
 
 
 def test_heatmap_byte_stable():
     values = {(0.0, 0.0): 0.123456, (1.0, 0.0): 1.0, (0.0, 1.0): 0.5, (1.0, 1.0): 0.5}
-    out1 = render_heatmap(grid_summaries(values), ("ws", 0.01, 0.0))
-    out2 = render_heatmap(grid_summaries(values), ("ws", 0.01, 0.0))
+    out1 = render_heatmap(grid_summaries(values))
+    out2 = render_heatmap(grid_summaries(values))
     assert out1 == out2
 
 
-def test_heatmap_whole_list_equals_panel_only():
+def test_heatmap_rejects_mixed_panels():
     values = {(0.0, 0.0): 0.1, (1.0, 0.0): 0.9, (0.0, 1.0): 0.5, (1.0, 1.0): 0.3}
     panel = grid_summaries(values)
-    others = [summary(c, e, 0.7, model=m, k=k) for m, k in (("ff", 0.01), ("ws", 0.5))
-              for c in (0.0, 1.0) for e in (0.0, 1.0)]
-    whole = others[:4] + panel + others[4:]
-    assert render_heatmap(whole, ("ws", 0.01, 0.0)) == render_heatmap(panel, ("ws", 0.01, 0.0))
+    for model, k, supporters in (("ff", 0.01, 0.0), ("ws", 0.5, 0.0), ("ws", 0.01, 0.1)):
+        other = summary(0.5, 0.5, 0.7, model=model, k=k, supporters=supporters)
+        with pytest.raises(HeatmapError, match="more than one panel"):
+            render_heatmap(panel + [other])
+    # A k that prints alike at 6 decimals is the same panel.
+    alike = [dataclasses.replace(s, k=0.01 + 1e-12) for s in panel[2:]]
+    assert render_heatmap(panel[:2] + alike) == render_heatmap(panel)
 
 
 def test_panel_keys_sorted_distinct():

@@ -62,8 +62,9 @@ def test_enumeration_order_lexicographic():
                       curious_values=(0.0, 1.0), enthusiastic_values=(0.0, 1.0),
                       replications=2)
     specs = enumerate_cells(grid)
-    keys = [(s.k, s.supporters, s.curious, s.enthusiastic, s.replicate) for s in specs]
+    keys = [(s.k, s.supporters, s.curious, s.enthusiastic) for s in specs]
     assert keys == sorted(keys)
+    assert len(set(keys)) == 16 and keys[::2] == keys[1::2]  # a cell's 2 replicates adjacent
     assert [s.index for s in specs] == list(range(len(specs)))
     assert [s.network_seed for s in specs] == [5 + i for i in range(len(specs))]
 
@@ -84,6 +85,18 @@ def test_grid_validation():
         small_grid(replications=0)
     with pytest.raises(ValueError):
         SweepGrid(network_model="unknown")
+
+
+@pytest.mark.parametrize("axis", ["curious_values", "enthusiastic_values",
+                                  "supporter_values", "k_values"])
+@pytest.mark.parametrize("values", [(0.5, 0.5), (0.5, 0.2, 0.5000000001)],
+                         ids=["exact", "near"])
+def test_grid_rejects_axis_values_that_print_alike(axis, values):
+    # Both would run as separate cells that aggregate merges into one.
+    with pytest.raises(SweepError, match=rf"{axis} values 0\.5 and {values[-1]!r} both "
+                                         r"print as 0\.500000"):
+        small_grid(**{axis: values})
+    small_grid(**{axis: (0.5, 0.500001)})  # 6 decimals apart is fine
 
 
 # -- execution ------------------------------------------------------------------
