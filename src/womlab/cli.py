@@ -129,15 +129,16 @@ def build_parser() -> _Parser:
                              description="Run the full replication grid for one network model "
                                          "and write all run records as CSV.")
     _add_model_flags(p_sweep)
-    p_sweep.add_argument("--k", type=_comma_floats, default=None,
+    p_sweep.add_argument("--k", type=_comma_floats, default=SweepGrid.k_values,
                          help="comma list of k values (default "
                               + ",".join(map(str, SweepGrid.k_values)) + ")")
-    p_sweep.add_argument("--supporters", type=_comma_floats, default=None,
+    p_sweep.add_argument("--supporters", type=_comma_floats, default=SweepGrid.supporter_values,
                          help="comma list of supporter shares (default "
                               + ",".join(map(str, SweepGrid.supporter_values)) + ")")
-    p_sweep.add_argument("--curious", type=_comma_floats, default=None,
+    p_sweep.add_argument("--curious", type=_comma_floats, default=SweepGrid.curious_values,
                          help="comma list of curious shares (default 0.00..1.00 step 0.05)")
-    p_sweep.add_argument("--enthusiastic", type=_comma_floats, default=None,
+    p_sweep.add_argument("--enthusiastic", type=_comma_floats,
+                         default=SweepGrid.enthusiastic_values,
                          help="comma list of enthusiastic shares (default 0.00..1.00 step 0.05)")
     p_sweep.add_argument("--reps", type=int, default=SweepGrid.replications,
                          help="replicates per cell (default %(default)s)")
@@ -191,18 +192,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    grid_kwargs = dict(network_model=args.model, params=_model_params(args),
-                       replications=args.reps, base_seed=args.base_seed,
-                       max_retries=args.max_retries)
-    if args.k is not None:
-        grid_kwargs["k_values"] = tuple(args.k)
-    if args.supporters is not None:
-        grid_kwargs["supporter_values"] = tuple(args.supporters)
-    if args.curious is not None:
-        grid_kwargs["curious_values"] = tuple(args.curious)
-    if args.enthusiastic is not None:
-        grid_kwargs["enthusiastic_values"] = tuple(args.enthusiastic)
-    grid = SweepGrid(**grid_kwargs)
+    grid = SweepGrid(network_model=args.model, params=_model_params(args),
+                     k_values=args.k, supporter_values=args.supporters,
+                     curious_values=args.curious, enthusiastic_values=args.enthusiastic,
+                     replications=args.reps, base_seed=args.base_seed,
+                     max_retries=args.max_retries)
+    out = Path(args.out)
+    if out.is_dir() or not out.parent.is_dir():  # before the grid runs, not after
+        raise OSError(f"--out {args.out} is not a file in an existing directory")
     records = run_sweep(grid, args.jobs)
     failures = failure_count(records)
     write_records_csv([r for r in records if not r.failed], args.out)

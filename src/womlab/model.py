@@ -112,12 +112,11 @@ class World:
     neighbors still to push to, both in pop order.
     """
 
-    __slots__ = ("graph", "cfg", "rng", "n", "indptr", "indices",
+    __slots__ = ("cfg", "rng", "n", "indptr", "indices",
                  "awareness", "expertise", "curious", "enthusiastic", "supporter",
-                 "episode", "pending", "round", "counts", "ad_recipients")
+                 "episode", "pending", "round", "counts")
 
     def __init__(self, graph: Graph, cfg: SimConfig):
-        self.graph = graph
         self.cfg = cfg
         self.rng = make_rng(cfg.seed)
         self.n = graph.node_count
@@ -136,7 +135,6 @@ class World:
         # counts[aw * 3 + ex], kept in sync with every transition.
         self.counts = [0] * 9
         self.counts[UNAWARE * 3 + IGNORANT] = n
-        self.ad_recipients: set[int] = set()
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -294,10 +292,8 @@ def step(world: World) -> None:
             pool = np.flatnonzero(np.frombuffer(bytes(world.awareness), np.uint8) == UNAWARE)
             if reach < len(pool):
                 pool = pool[rng.choice(len(pool), size=reach, replace=False)]
-            targets = pool.tolist()
             # Distinct unaware targets: none can make another aware.
-            world.ad_recipients.update(targets)
-            for t in targets:
+            for t in pool.tolist():
                 _deliver_awareness(world, t)
     order = rng.permutation(world.n)
     counts = world.counts

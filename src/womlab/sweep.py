@@ -10,7 +10,6 @@ a sweep is bit-reproducible for any worker count.
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -119,7 +118,7 @@ class RunRecord:
 
 @dataclass(frozen=True)
 class CellSummary:
-    """Per-cell statistics over all replicates."""
+    """One grid cell's mean final share holding awareness and expertise."""
 
     network_model: str
     k: float
@@ -127,10 +126,6 @@ class CellSummary:
     curious: float
     enthusiastic: float
     mean_final_both: float
-    sd_final_both: float
-    mean_final_aware: float
-    mean_rounds: float
-    n: int
 
 
 def enumerate_cells(grid: SweepGrid) -> list[RunSpec]:
@@ -246,11 +241,11 @@ def cell_key(cell: RunRecord | CellSummary) -> tuple[str, str, str, str, str]:
 
 
 def aggregate(records: list[RunRecord]) -> list[CellSummary]:
-    """Collapse records into one summary per cell (sample sd, n-1).
+    """Collapse records into one summary per cell: the mean of ``final_both``.
 
     A cell is what ``cell_key`` names, so records whose values print
     alike fall into one cell; ``cell_key`` runs once per distinct value
-    tuple.  Each cell's sums run over its records in input order, and its
+    tuple.  Each cell's sum runs over its records in input order, and its
     summary takes the cell values of its first record.  Requires complete
     cells: failed records are rejected, and all cells must hold the same
     number of replicates.
@@ -277,22 +272,13 @@ def aggregate(records: list[RunRecord]) -> list[CellSummary]:
     summaries = []
     for group in groups.values():
         first = group[0]
-        n = len(group)
-        both = [r.final_both for r in group]
-        mean_both = sum(both) / n
-        sd_both = (math.sqrt(sum((b - mean_both) ** 2 for b in both) / (n - 1))
-                   if n > 1 else 0.0)
         summaries.append(CellSummary(
             network_model=first.network_model,
             k=first.k,
             supporters=first.supporters,
             curious=first.curious,
             enthusiastic=first.enthusiastic,
-            mean_final_both=mean_both,
-            sd_final_both=sd_both,
-            mean_final_aware=sum(r.final_aware for r in group) / n,
-            mean_rounds=sum(r.rounds for r in group) / n,
-            n=n,
+            mean_final_both=sum(r.final_both for r in group) / len(group),
         ))
     summaries.sort(key=lambda s: (s.network_model, s.k, s.supporters, s.curious, s.enthusiastic))
     return summaries

@@ -210,6 +210,31 @@ def test_sweep_axis_values_that_print_alike_exit_2_before_any_run(tmp_path, caps
     assert started == [] and stdout == "" and not out.exists()
 
 
+@pytest.mark.parametrize("where", ["missing-parent", "directory"])
+def test_sweep_unwritable_out_exits_2_before_any_run(tmp_path, capsys, monkeypatch, where):
+    started = []
+    monkeypatch.setattr("womlab.cli.run_sweep", lambda *args: started.append(args) or [])
+    out = tmp_path / "nodir" / "records.csv" if where == "missing-parent" else tmp_path
+    code, stdout, err = run_cli(capsys, "sweep", "--model", "ws", "--n", "30", "--nei", "2",
+                                "--curious", "0.5", "--enthusiastic", "0.5",
+                                "--supporters", "0", "--k", "0.1", "--reps", "3",
+                                "--out", str(out))
+    assert code == EXIT_RUNTIME
+    assert str(out) in err
+    assert started == [] and stdout == ""
+    assert not (tmp_path / "nodir").exists() and list(tmp_path.iterdir()) == []
+
+
+def test_sweep_without_axis_flags_runs_the_default_grid(tmp_path, capsys, monkeypatch):
+    grids = []
+    monkeypatch.setattr("womlab.cli.run_sweep", lambda grid, jobs: grids.append(grid) or [])
+    code, stdout, _ = run_cli(capsys, "sweep", "--model", "ws",
+                              "--out", str(tmp_path / "records.csv"))
+    assert code == EXIT_OK and stdout == "runs: 0, failed: 0\n"
+    assert grids == [SweepGrid("ws")]
+    assert grids[0].run_count() == 39_690
+
+
 # -- report ----------------------------------------------------------------------
 
 

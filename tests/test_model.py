@@ -30,13 +30,17 @@ def make_world(graph, **overrides):
 PER_AGENT_LISTS = ("awareness", "expertise", "curious", "enthusiastic", "supporter",
                    "episode", "pending")
 # Every other World slot; a new slot must join one of the two tuples.
-WORLD_SLOTS = ("graph", "cfg", "rng", "n", "indptr", "indices", "round", "counts",
-               "ad_recipients")
+WORLD_SLOTS = ("cfg", "rng", "n", "indptr", "indices", "round", "counts")
+
+
+def live_agent_lists(w):
+    """Every per-agent list, uncopied, for comparing two worlds as they stand."""
+    return [getattr(w, name) for name in PER_AGENT_LISTS]
 
 
 def agent_lists(w):
     """Deep copy of every per-agent list, for whole-world comparisons."""
-    return copy.deepcopy([getattr(w, name) for name in PER_AGENT_LISTS])
+    return copy.deepcopy(live_agent_lists(w))
 
 
 def test_agent_lists_cover_every_per_agent_slot():
@@ -287,7 +291,6 @@ def test_advertisement_reaches_exact_share():
     g = generate_ws(WsParams(n=200, nei=2, p_rewire=0.0), 1)
     w = make_world(g, ad_rounds=1, ad_share=0.05, seed=9)
     step(w)
-    assert len(w.ad_recipients) == 10
     assert w.aware_count() == 10  # nobody curious/proactive, no spread
 
 
@@ -400,7 +403,8 @@ def test_state_machine_invariants_200_random_configs():
 
 def test_reachability_oracle_on_disconnected_graphs():
     # expertise may only appear at seeded experts or nodes connected to
-    # one; awareness only at ad recipients or nodes connected to one.
+    # one; awareness only at ad targets (as the oracle run on the same
+    # graph and config records them) or nodes connected to one.
     rng = np.random.default_rng(77)
     for trial in range(40):
         n = 50
@@ -413,6 +417,8 @@ def test_reachability_oracle_on_disconnected_graphs():
         seeded = {i for i in range(n) if w.expertise[i] != IGNORANT}
         while w.round < cfg.max_rounds and not w.is_quiescent():
             step(w)
+        _, ref_world, ref = reference_run(g, cfg)
+        assert live_agent_lists(w) == ref_agent_lists(ref_world, ref), trial
 
         def component(sources):
             seen = set(sources)
@@ -426,7 +432,7 @@ def test_reachability_oracle_on_disconnected_graphs():
             return seen
 
         expert_reachable = component(seeded)
-        aware_reachable = component(w.ad_recipients)
+        aware_reachable = component(ref.ad_targets)
         for i in range(n):
             if w.expertise[i] != IGNORANT:
                 assert i in expert_reachable, trial
@@ -436,13 +442,17 @@ def test_reachability_oracle_on_disconnected_graphs():
 
 # -- reference: the validating step, kept as the draw-order oracle ---------------
 #
-# The oracle keeps its own episode state in RefEpisodes, next to a World
-# whose `episode` list it never touches: separate query and push lists, a
-# push budget per promoter and a tally of seekers with nothing left to query.
+# The oracle keeps its own state in RefEpisodes, next to a World whose
+# `episode` list it never touches: the graph it shuffles neighbors from,
+# separate query and push lists, a push budget per promoter, a tally of
+# seekers with nothing left to query and the set of ad targets.
 
 
 class RefEpisodes:
-    def __init__(self, n):
+    def __init__(self, graph):
+        self.graph = graph
+        self.ad_targets = set()
+        n = graph.node_count
         self.unqueried = [None] * n
         self.unpushed = [None] * n
         self.promote_left = [0] * n
@@ -462,6 +472,13 @@ class RefEpisodes:
         return episode
 
 
+def ref_agent_lists(w, ref):
+    """The oracle world's per-agent lists, its episodes in World's form."""
+    assert all(e is None for e in w.episode)  # the oracle never sets it
+    return [ref.as_episode() if name == "episode" else getattr(w, name)
+            for name in PER_AGENT_LISTS]
+
+
 def _ref_is_quiescent(w, ref):
     counts = w.counts
     if w.round < w.cfg.ad_rounds or any(counts[PROACTIVE::3]):
@@ -472,15 +489,15 @@ def _ref_is_quiescent(w, ref):
     return seeking == ref.n_seek_exhausted
 
 
-def _ref_shuffled_neighbors(w, i):
-    neighbors = np.asarray(w.graph.neighbors(i), dtype=np.int64)
+def _ref_shuffled_neighbors(w, ref, i):
+    neighbors = np.asarray(ref.graph.neighbors(i), dtype=np.int64)
     w.rng.shuffle(neighbors)
     return neighbors.tolist()
 
 
 def _ref_start_promoting(w, ref, i):
     ref.promote_left[i] = w.cfg.t_promote
-    ref.unpushed[i] = _ref_shuffled_neighbors(w, i)
+    ref.unpushed[i] = _ref_shuffled_neighbors(w, ref, i)
 
 
 def _ref_deliver_awareness(w, ref, i, cause="contact"):
@@ -488,7 +505,7 @@ def _ref_deliver_awareness(w, ref, i, cause="contact"):
     if w.awareness[i] != UNAWARE:
         return
     if cause == "ad":
-        w.ad_recipients.add(i)
+        ref.ad_targets.add(i)
     ex = w.expertise[i]
     if ex != IGNORANT:
         if w.supporter[i] and ex != PROACTIVE:
@@ -498,7 +515,7 @@ def _ref_deliver_awareness(w, ref, i, cause="contact"):
             w._move(i, AWARE, ex)
     elif w.curious[i]:
         w._move(i, SEEKING, IGNORANT)
-        episode = _ref_shuffled_neighbors(w, i)
+        episode = _ref_shuffled_neighbors(w, ref, i)
         ref.unqueried[i] = episode
         if not episode:
             ref.n_seek_exhausted += 1
@@ -577,7 +594,7 @@ def reference_step(w, ref):
 
 def reference_run(graph, cfg):
     w = init_population(graph, cfg)
-    ref = RefEpisodes(w.n)
+    ref = RefEpisodes(graph)
     series = [tuple(w.counts)]
     while w.round < cfg.max_rounds and not _ref_is_quiescent(w, ref):
         reference_step(w, ref)
@@ -618,12 +635,14 @@ def test_run_matches_reference(graph, overrides):
     for seed in range(5):
         cfg = SimConfig(**{"ad_rounds": 8, "ad_share": 0.01, "t_promote": 15,
                            "seed": 1000 + seed, **overrides})
-        expected, ref_world, ref = reference_run(graph, cfg)
+        expected, _, _ = reference_run(graph, cfg)
         assert run(graph, cfg) == expected, seed
+        # In lockstep, so a wrong ad target fails in the round it was drawn.
         w = init_population(graph, cfg)
-        while w.round < cfg.max_rounds and not w.is_quiescent():
+        ref_world, ref = init_population(graph, cfg), RefEpisodes(graph)
+        while True:
+            assert live_agent_lists(w) == ref_agent_lists(ref_world, ref), (seed, w.round)
+            if w.round >= cfg.max_rounds or w.is_quiescent():
+                break
             step(w)
-        assert all(e is None for e in ref_world.episode)  # the oracle never sets it
-        ref_world.episode = ref.as_episode()
-        assert agent_lists(w) == agent_lists(ref_world)
-        assert w.ad_recipients == ref_world.ad_recipients
+            reference_step(ref_world, ref)

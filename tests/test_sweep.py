@@ -1,7 +1,5 @@
 """Sweep enumeration, execution determinism and aggregation."""
 
-import math
-
 import pytest
 
 import womlab.sweep
@@ -195,25 +193,21 @@ def test_execute_run_is_pure():
 # -- aggregation ------------------------------------------------------------------
 
 
-def test_aggregate_mean_sd():
+def test_aggregate_mean():
     records = [record(0.5), record(0.5, sim_seed=2)]
     [summary] = aggregate(records)
     assert summary.mean_final_both == pytest.approx(0.5)
-    assert summary.sd_final_both == 0.0
-    assert summary.n == 2
 
 
-def test_aggregate_sd_formula():
+def test_aggregate_mean_of_distinct_values():
     records = [record(0.0), record(1.0, sim_seed=2)]
     [summary] = aggregate(records)
     assert summary.mean_final_both == pytest.approx(0.5)
-    assert summary.sd_final_both == pytest.approx(math.sqrt(0.5), abs=1e-12)
 
 
-def test_aggregate_single_record_sd_zero():
+def test_aggregate_single_record():
     [summary] = aggregate([record(0.7)])
-    assert summary.sd_final_both == 0.0
-    assert summary.n == 1
+    assert summary.mean_final_both == 0.7
 
 
 def test_aggregate_empty():
@@ -250,9 +244,8 @@ def test_aggregate_cell_identity_and_input_order():
         records.append(record(b, curious=0.9, sim_seed=2 * i + 1))
     cell_a, cell_b = aggregate(records)
     assert (cell_a.k, cell_a.curious, cell_b.curious) == (0.1, 0.5, 0.9)
-    assert cell_a.n == cell_b.n == 3
-    assert cell_a.mean_final_both == cell_a.mean_final_aware == sum(a_values) / 3
-    assert cell_b.mean_final_both == cell_b.mean_final_aware == sum(b_values) / 3
+    assert cell_a.mean_final_both == sum(a_values) / 3
+    assert cell_b.mean_final_both == sum(b_values) / 3
 
 
 def test_aggregate_keeps_signed_zeros_apart():
@@ -260,8 +253,8 @@ def test_aggregate_keeps_signed_zeros_apart():
     records = [record(0.2, curious=0.0), record(0.4, curious=-0.0),
                record(0.6, curious=0.0, sim_seed=2), record(0.8, curious=-0.0, sim_seed=2)]
     summaries = aggregate(records)
-    assert [(str(s.curious), s.n, s.mean_final_both) for s in summaries] == [
-        ("0.0", 2, (0.2 + 0.6) / 2), ("-0.0", 2, (0.4 + 0.8) / 2)]
+    assert [(str(s.curious), s.mean_final_both) for s in summaries] == [
+        ("0.0", (0.2 + 0.6) / 2), ("-0.0", (0.4 + 0.8) / 2)]
 
 
 def test_aggregate_output_sorted():
