@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .generators import (MODEL_IDS, FfParams, GenerationError, SiiParams, WsParams,
-                         generate_validated)
+                         default_params, generate_validated)
 from .graph import compute_metrics
 from .model import (AWARENESS_NAMES, EXPERTISE_NAMES, STATE_COMBOS, SimConfig, run)
 from .reporting import (METRICS_HEADER, CsvFormatError, metrics_csv_row, panels,
@@ -36,40 +36,41 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+# (flag, type, classes that read it, their field, help).  Defaults are None,
+# so a flag that was given can be told from one that was not; the help
+# prints the class default.  ws and ff share --n.
+_MODEL_FLAGS = (
+    ("--n", int, (WsParams, FfParams), "n", "node count for ws/ff"),
+    ("--nei", int, (WsParams,), "nei", "ws: lattice neighbors per side"),
+    ("--p-rewire", float, (WsParams,), "p_rewire", "ws: endpoint rewiring probability"),
+    ("--fw-prob", float, (FfParams,), "fw_prob", "ff: forward burning probability"),
+    ("--bw-factor", float, (FfParams,), "bw_factor", "ff: backward burning ratio"),
+    ("--ambs", int, (FfParams,), "ambs", "ff: ambassadors per new node"),
+    ("--islands", int, (SiiParams,), "n_islands", "sii: island count"),
+    ("--island-size", int, (SiiParams,), "island_size", "sii: nodes per island"),
+    ("--p-in", float, (SiiParams,), "p_in", "sii: intra-island edge probability"),
+    ("--inter", int, (SiiParams,), "n_inter", "sii: links per island pair"),
+)
+
+
 def _model_params(args):
-    if args.model == "ws":
-        return WsParams(n=args.n, nei=args.nei, p_rewire=args.p_rewire)
-    if args.model == "ff":
-        return FfParams(n=args.n, fw_prob=args.fw_prob, bw_factor=args.bw_factor,
-                        ambs=args.ambs)
-    return SiiParams(n_islands=args.islands, island_size=args.island_size,
-                     p_in=args.p_in, n_inter=args.inter)
+    cls = type(default_params(args.model))
+    given = {}
+    for flag, _, owners, field, _ in _MODEL_FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None:
+            if cls not in owners:
+                raise ValueError(f"{flag} does not apply to --model {args.model}")
+            given[field] = value
+    return cls(**given)
 
 
 def _add_model_flags(parser: _Parser) -> None:
-    # Defaults come from the classes that own them; ws and ff share --n.
     parser.add_argument("--model", required=True, choices=MODEL_IDS,
                         help="network family to generate")
-    parser.add_argument("--n", type=int, default=WsParams.n,
-                        help="node count for ws/ff (default %(default)s)")
-    parser.add_argument("--nei", type=int, default=WsParams.nei,
-                        help="ws: lattice neighbors per side (default %(default)s)")
-    parser.add_argument("--p-rewire", type=float, default=WsParams.p_rewire,
-                        help="ws: endpoint rewiring probability (default %(default)s)")
-    parser.add_argument("--fw-prob", type=float, default=FfParams.fw_prob,
-                        help="ff: forward burning probability (default %(default)s)")
-    parser.add_argument("--bw-factor", type=float, default=FfParams.bw_factor,
-                        help="ff: backward burning ratio (default %(default)s)")
-    parser.add_argument("--ambs", type=int, default=FfParams.ambs,
-                        help="ff: ambassadors per new node (default %(default)s)")
-    parser.add_argument("--islands", type=int, default=SiiParams.n_islands,
-                        help="sii: island count (default %(default)s)")
-    parser.add_argument("--island-size", type=int, default=SiiParams.island_size,
-                        help="sii: nodes per island (default %(default)s)")
-    parser.add_argument("--p-in", type=float, default=SiiParams.p_in,
-                        help="sii: intra-island edge probability (default %(default)s)")
-    parser.add_argument("--inter", type=int, default=SiiParams.n_inter,
-                        help="sii: links per island pair (default %(default)s)")
+    for flag, kind, owners, field, text in _MODEL_FLAGS:
+        parser.add_argument(flag, type=kind,
+                            help=f"{text} (default {getattr(owners[0], field)})")
     parser.add_argument("--max-retries", type=int, default=SweepGrid.max_retries,
                         help="connectivity retries before giving up (default %(default)s)")
 
@@ -211,12 +212,12 @@ def cmd_report(args) -> int:
     records = read_records_csv(args.infile)
     if not records:
         raise CsvFormatError("records CSV contains no rows")
-    summaries = aggregate(records)
+    # Render every panel before writing any, so a bad panel leaves no output.
+    rendered = [(f"heatmap_{model}_k{k:g}_s{supporters:g}", render_heatmap(panel))
+                for (model, k, supporters), panel in panels(aggregate(records))]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for (model, k, supporters), panel in panels(summaries):
-        csv_text, ppm_text = render_heatmap(panel)
-        stem = f"heatmap_{model}_k{k:g}_s{supporters:g}"
+    for stem, (csv_text, ppm_text) in rendered:
         (out_dir / f"{stem}.csv").write_text(csv_text, encoding="utf-8")
         (out_dir / f"{stem}.ppm").write_text(ppm_text, encoding="utf-8")
         print(f"{stem}.csv {stem}.ppm")

@@ -83,9 +83,9 @@ class FfParams:
             raise ValueError("n must be >= 1")
         if not 0.0 <= self.fw_prob < 1.0:
             raise ValueError("fw_prob must be in [0, 1)")
-        if self.bw_factor < 0.0:
+        if not self.bw_factor >= 0.0:  # positive form: NaN fails it
             raise ValueError("bw_factor must be >= 0")
-        if self.fw_prob * self.bw_factor > 1.0:
+        if not self.fw_prob * self.bw_factor <= 1.0:  # 0 * inf is NaN
             raise ValueError("fw_prob * bw_factor must be <= 1")
         if self.ambs < 1:
             raise ValueError("ambs must be >= 1")

@@ -1,8 +1,8 @@
 """Undirected simple graphs and the summary statistics used to compare networks.
 
 Graphs are immutable, live on dense integer node ids ``0..n-1`` and store
-their edges both as a canonical sorted array and as a CSR adjacency
-structure.  All-pairs distances are computed by breadth-first search from
+their edges once, as a CSR adjacency structure sorted by (source,
+target).  All-pairs distances are computed by breadth-first search from
 every node simultaneously, with reachability sets packed into uint64
 bitset rows stored by descending degree: neighbor slots that many rows
 share are ORed in over contiguous row blocks (ELL), the few hub rows left
@@ -53,8 +53,7 @@ class Graph:
     construction and neighbor lists are sorted ascending.
     """
 
-    __slots__ = ("node_count", "edge_count", "_u", "_v", "_indptr", "_indices",
-                 "_distance_summary")
+    __slots__ = ("node_count", "edge_count", "_indptr", "_indices", "_distance_summary")
 
     def __init__(self, node_count: int, edge_list: Iterable[tuple[int, int]]):
         node_count = int(node_count)
@@ -73,29 +72,18 @@ class Graph:
                     f"edge endpoint out of range for node_count={node_count}")
             if (pairs[:, 0] == pairs[:, 1]).any():
                 raise GraphConstructionError("self-loops are not allowed")
-        u = np.minimum(pairs[:, 0], pairs[:, 1])
-        v = np.maximum(pairs[:, 0], pairs[:, 1])
-        # Dedupe on the encoded pair, sorted into canonical order.
-        enc = np.sort(u * node_count + v)
+        # Both directions of every pair, encoded and sorted once: the CSR
+        # order (source, then target), with repeats dropped.
+        enc = np.sort(np.concatenate([pairs[:, 0] * node_count + pairs[:, 1],
+                                      pairs[:, 1] * node_count + pairs[:, 0]]))
         keep = np.ones(len(enc), dtype=bool)
         np.not_equal(enc[1:], enc[:-1], out=keep[1:])
-        enc = enc[keep]
-        u = (enc // node_count).astype(np.int64) if node_count else enc
-        v = (enc % node_count).astype(np.int64) if node_count else enc
-        m = len(enc)
-
-        sym_src = np.concatenate([u, v])
-        sym_dst = np.concatenate([v, u])
-        order = np.argsort(sym_src * node_count + sym_dst) if node_count else np.arange(0)
-        indices = sym_dst[order].astype(np.int64)
-        degrees = np.bincount(sym_src, minlength=node_count)
+        src, indices = np.divmod(enc[keep], node_count)
         indptr = np.zeros(node_count + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr[1:])
+        np.cumsum(np.bincount(src, minlength=node_count), out=indptr[1:])
 
         self.node_count = node_count
-        self.edge_count = m
-        self._u = u
-        self._v = v
+        self.edge_count = len(indices) // 2
         self._indptr = indptr
         self._indices = indices
         self._distance_summary = None
@@ -104,7 +92,9 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges as (u, v) with u < v, sorted ascending."""
-        return list(zip(self._u.tolist(), self._v.tolist()))
+        src = np.repeat(np.arange(self.node_count), np.diff(self._indptr))
+        upper = src < self._indices
+        return list(zip(src[upper].tolist(), self._indices[upper].tolist()))
 
     def neighbors(self, node: int) -> list[int]:
         """Sorted neighbor ids of ``node``."""
@@ -117,11 +107,8 @@ class Graph:
         if not isinstance(other, Graph):
             return NotImplemented
         return (self.node_count == other.node_count
-                and np.array_equal(self._u, other._u)
-                and np.array_equal(self._v, other._v))
-
-    def __hash__(self):
-        return hash((self.node_count, self.edge_count))
+                and np.array_equal(self._indptr, other._indptr)
+                and np.array_equal(self._indices, other._indices))
 
     def __repr__(self) -> str:
         return f"Graph(nodes={self.node_count}, edges={self.edge_count})"
@@ -246,7 +233,8 @@ def global_clustering(g: Graph) -> float:
     np.bitwise_or.at(bits, src * words + (g._indices >> 6),
                      np.uint64(1) << (g._indices & 63).astype(np.uint64))
     bits = bits.reshape(n, words)
-    u, v = g._u, g._v
+    upper = src < g._indices
+    u, v = src[upper], g._indices[upper]
     block = max(1, 8192 // words)
     common = 0  # 3 * triangles
     for start in range(0, g.edge_count, block):

@@ -61,6 +61,36 @@ def test_generate_impossible_params_runtime_error(tmp_path, capsys):
     assert "sii" in err
 
 
+@pytest.mark.parametrize("flags", [("--bw-factor", "nan"), ("--fw-prob", "0", "--bw-factor", "inf")],
+                         ids=["nan", "zero-times-inf"])
+def test_generate_nan_burn_parameters_exit_2(tmp_path, capsys, flags):
+    out = tmp_path / "x.graphml"
+    code, stdout, err = run_cli(capsys, "generate", "--model", "ff", *flags, "--seed", "1",
+                                "--out", str(out))
+    assert code == EXIT_RUNTIME
+    assert "bw_factor" in err and stdout == "" and not out.exists()
+
+
+FOREIGN_MODEL_FLAGS = [("sii", "--n", "500"), ("sii", "--nei", "3"), ("ws", "--islands", "3"),
+                       ("ws", "--fw-prob", "0.3"), ("ff", "--p-rewire", "0.1"),
+                       ("ff", "--inter", "2")]
+
+
+@pytest.mark.parametrize("model,flag,value", FOREIGN_MODEL_FLAGS)
+@pytest.mark.parametrize("command", ["generate", "sweep"])
+def test_another_familys_flag_exits_2_before_any_run(tmp_path, capsys, monkeypatch,
+                                                     command, model, flag, value):
+    started = []
+    monkeypatch.setattr("womlab.cli.generate_validated", lambda *args: started.append(args))
+    monkeypatch.setattr("womlab.cli.run_sweep", lambda *args: started.append(args) or [])
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, command, "--model", model, flag, value,
+                                "--out", str(out))
+    assert code == EXIT_RUNTIME
+    assert err == f"womlab: error: {flag} does not apply to --model {model}\n"
+    assert started == [] and stdout == "" and not out.exists()
+
+
 # -- metrics -------------------------------------------------------------------
 
 
@@ -271,6 +301,20 @@ def test_report_incomplete_grid_exits_2(tmp_path, capsys):
                            "--out-dir", str(tmp_path / "heat"))
     assert code == EXIT_RUNTIME
     assert "missing" in err
+
+
+def test_report_bad_later_panel_writes_nothing(tmp_path, capsys):
+    records = run_sweep(small_grid(k_values=(0.1, 0.5)), worker_count=1)
+    kept = [r for r in records if not (r.k == 0.5 and r.curious == 0.8
+                                       and r.enthusiastic == 0.8)]
+    csv_path = tmp_path / "records.csv"
+    write_records_csv(kept, csv_path)
+    out_dir = tmp_path / "heat"
+    code, stdout, err = run_cli(capsys, "report", "--in", str(csv_path),
+                                "--out-dir", str(out_dir))
+    assert code == EXIT_RUNTIME
+    assert "missing" in err
+    assert stdout == "" and list(out_dir.glob("heatmap_*")) == []
 
 
 @pytest.mark.parametrize("column,value", [(9, "ten"), (10, "maybe")],

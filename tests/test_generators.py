@@ -29,6 +29,13 @@ def test_params_validation():
         SiiParams(island_size=3, n_inter=10)
 
 
+@pytest.mark.parametrize("fw_prob,bw_factor", [(0.37, float("nan")), (0.0, float("inf"))],
+                         ids=["nan", "zero-times-inf"])
+def test_ff_params_reject_nan_burn_parameters(fw_prob, bw_factor):
+    with pytest.raises(ValueError):
+        FfParams(fw_prob=fw_prob, bw_factor=bw_factor)
+
+
 @pytest.mark.parametrize("model,params", [
     ("ws", WsParams(n=60, nei=3, p_rewire=0.2)),
     ("ff", FfParams(n=60, fw_prob=0.3, bw_factor=0.9)),

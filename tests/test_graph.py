@@ -141,6 +141,39 @@ def test_out_of_range_id_rejected():
         build_graph(3, [(-1, 2)])
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 65, 130])
+def test_construction_matches_set_oracle(n):
+    rng = np.random.default_rng(n)
+    for _ in range(8):
+        pairs = []
+        if n >= 2:
+            # Some nodes stay isolated; repeats appear in both orientations.
+            active = rng.choice(n, size=max(2, 3 * n // 4), replace=False).tolist()
+            for _ in range(int(rng.integers(0, 3 * n))):
+                u, v = rng.choice(active, size=2, replace=False).tolist()
+                pairs.append((u, v))
+                if rng.random() < 0.3:
+                    pairs.append((v, u) if rng.random() < 0.5 else (u, v))
+        edge_set = {(min(u, v), max(u, v)) for u, v in pairs}
+        nbrs = {u: set() for u in range(n)}
+        for u, v in edge_set:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        g = build_graph(n, pairs)
+        indptr, indices = g.csr_arrays()
+        assert len(indptr) == n + 1
+        assert [indices[indptr[u]:indptr[u + 1]].tolist() for u in range(n)] == [
+            sorted(nbrs[u]) for u in range(n)]
+        assert g.edges() == sorted(edge_set)
+        assert g.edge_count == len(edge_set)
+        shuffled = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+        rng.shuffle(shuffled)
+        assert build_graph(n, shuffled) == g
+        assert build_graph(n, np.array(pairs, dtype=np.int64).reshape(-1, 2)) == g
+        if edge_set:
+            assert build_graph(n, sorted(edge_set)[1:]) != g
+
+
 def test_complete_graph_k5():
     g = complete_graph(5)
     assert g.edge_count == 10
