@@ -3,8 +3,7 @@ sweeps and reporting.
 
 Every invocation is fully determined by its flags: the same command
 line always produces byte-identical files and output.  Exit codes:
-0 success, 1 usage error, 2 runtime failure, 3 reserved for acceptance
-checks (used by the test harness, not by any subcommand here).
+0 success, 1 usage error, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -20,12 +19,11 @@ from .model import (AWARENESS_NAMES, EXPERTISE_NAMES, STATE_COMBOS, SimConfig, r
 from .reporting import (METRICS_HEADER, CsvFormatError, metrics_csv_row, panels,
                         read_graphml, read_records_csv, records_csv_string,
                         render_heatmap, write_graphml, write_records_csv)
-from .sweep import SweepGrid, aggregate, failure_count, run_record, run_sweep
+from .sweep import SweepGrid, aggregate, run_record, run_sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUNTIME = 2
-EXIT_ACCEPTANCE = 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -146,7 +144,8 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--base-seed", type=int, default=SweepGrid.base_seed,
                          help="seed of the first run (default %(default)s)")
     p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="parallel worker processes (default %(default)s)")
+                         help="parallel worker processes, at most one per usable CPU "
+                              "and per run (default %(default)s)")
     p_sweep.add_argument("--out", required=True, help="output records CSV path")
 
     p_rep = sub.add_parser("report", help="render heatmaps from run records",
@@ -202,9 +201,9 @@ def cmd_sweep(args) -> int:
     if out.is_dir() or not out.parent.is_dir():  # before the grid runs, not after
         raise OSError(f"--out {args.out} is not a file in an existing directory")
     records = run_sweep(grid, args.jobs)
-    failures = failure_count(records)
-    write_records_csv([r for r in records if not r.failed], args.out)
-    print(f"runs: {len(records)}, failed: {failures}")
+    write_records_csv(records, args.out)
+    failures = grid.run_count() - len(records)
+    print(f"runs: {grid.run_count()}, failed: {failures}")
     return EXIT_RUNTIME if failures else EXIT_OK
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import xml.parsers.expat
 from pathlib import Path
 
+from .generators import MODEL_IDS
 from .graph import Graph, GraphMetrics, build_graph
 from .sweep import CellSummary, RunRecord, cell_key, fmt6
 
@@ -157,8 +158,6 @@ def metrics_csv_row(m: GraphMetrics) -> str:
 def records_csv_string(records: list[RunRecord]) -> str:
     rows = [RECORDS_HEADER]
     for r in records:
-        if r.failed:
-            raise ValueError("failed run records cannot be serialized; filter them first")
         rows.append(",".join([
             r.network_model, str(r.network_seed), str(r.sim_seed),
             fmt6(r.k), fmt6(r.curious), fmt6(r.enthusiastic), fmt6(r.supporters),
@@ -179,12 +178,15 @@ def write_records_csv(records: list[RunRecord], destination) -> int:
 # The two spellings of ``hit_max_rounds``; anything else is a format error.
 _BOOLS = {"true": True, "false": False}
 
+# The network_model values written: a sweep's family, or simulate's "file".
+_NETWORK_MODELS = frozenset((*MODEL_IDS, "file"))
+
 
 def read_records_csv(source) -> list[RunRecord]:
     """Parse a records CSV; blank lines are skipped, and a row with the
-    wrong field count, a number that does not parse or a
-    ``hit_max_rounds`` other than ``true`` or ``false`` is rejected with
-    its line number in the file."""
+    wrong field count, a ``network_model`` no sweep or simulation writes,
+    a number that does not parse or a ``hit_max_rounds`` other than
+    ``true`` or ``false`` is rejected with its line number in the file."""
     lines = Path(source).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != RECORDS_HEADER:
         raise CsvFormatError("records CSV header does not match the schema")
@@ -198,6 +200,9 @@ def read_records_csv(source) -> list[RunRecord]:
         (model, network_seed, sim_seed, k, curious, enthusiastic, supporters, final_aware,
          final_both, rounds, hit_max_rounds, nodes, edges, density, avg_path_length,
          clustering, diameter) = parts
+        if model not in _NETWORK_MODELS:
+            raise CsvFormatError(f"records CSV line {lineno}: network_model must be one of "
+                                 f"{', '.join(sorted(_NETWORK_MODELS))}, not {model!r}")
         try:
             # RunRecord's fields are in header order.
             records.append(RunRecord(

@@ -11,7 +11,9 @@ a sweep is bit-reproducible for any worker count.
 from __future__ import annotations
 
 import multiprocessing
+import os
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 from .generators import GenerationError, default_params, generate_validated
@@ -113,7 +115,6 @@ class RunRecord:
     avg_path_length: float | None
     clustering: float
     diameter: int | None
-    failed: bool = False
 
 
 @dataclass(frozen=True)
@@ -153,16 +154,11 @@ def enumerate_cells(grid: SweepGrid) -> list[RunSpec]:
 def execute_run(grid: SweepGrid, spec: RunSpec) -> RunRecord:
     """Generate one fresh network, simulate, and flatten the outcome.
 
-    A generation failure (no connected network within the retry budget)
-    yields a record flagged ``failed`` instead of aborting the sweep.
+    Raises ``GenerationError`` when no connected network turns up within
+    the retry budget.
     """
-    try:
-        graph, metrics, _ = generate_validated(grid.network_model, grid.params,
-                                               spec.network_seed, grid.max_retries)
-    except GenerationError:
-        return RunRecord(grid.network_model, spec.network_seed, spec.sim_seed,
-                         spec.k, spec.curious, spec.enthusiastic, spec.supporters,
-                         0.0, 0.0, 0, False, 0, 0, 0.0, None, 0.0, None, failed=True)
+    graph, metrics, _ = generate_validated(grid.network_model, grid.params,
+                                           spec.network_seed, grid.max_retries)
     cfg = SimConfig(k=spec.k, p_curious=spec.curious, p_enthusiastic=spec.enthusiastic,
                     p_supporter=spec.supporters, seed=spec.sim_seed)
     return run_record(grid.network_model, spec.network_seed, cfg, run(graph, cfg), metrics)
@@ -192,39 +188,42 @@ def run_record(network_model: str, network_seed: int, cfg: SimConfig,
     )
 
 
-_WORKER_GRID: SweepGrid | None = None
+def _run_or_none(grid: SweepGrid, spec: RunSpec) -> RunRecord | None:
+    # execute_run is looked up at call time, so a rebinding of it (a
+    # tracer, say) reaches forked pool workers too.
+    try:
+        return execute_run(grid, spec)
+    except GenerationError:
+        return None
 
 
-def _worker_init(grid: SweepGrid) -> None:
-    global _WORKER_GRID
-    _WORKER_GRID = grid
-
-
-def _worker_run(spec: RunSpec) -> RunRecord:
-    return execute_run(_WORKER_GRID, spec)
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def run_sweep(grid: SweepGrid, worker_count: int = 1) -> list[RunRecord]:
-    """Execute the whole grid; records come back in enumeration order.
+    """Execute the whole grid; the records of the runs that found a
+    connected network come back in enumeration order, so
+    ``grid.run_count() - len(records)`` runs failed.
 
     Each run depends only on its own derived seeds, so the result is
-    bit-identical for every ``worker_count``; parallelism only changes
-    the wall-clock time.  At most one worker is started per run.
+    bit-identical for every ``worker_count``, which is capped at the run
+    count and the usable CPUs; parallelism only changes the wall time.
     """
     if worker_count < 1:
         raise SweepError("worker_count must be >= 1")
     specs = enumerate_cells(grid)
-    worker_count = min(worker_count, len(specs))
+    task = partial(_run_or_none, grid)
+    worker_count = min(worker_count, len(specs), _usable_cpus())
     if worker_count == 1:
-        return [execute_run(grid, spec) for spec in specs]
+        return [r for r in map(task, specs) if r is not None]
     chunk = max(1, len(specs) // (worker_count * 16))
-    with multiprocessing.Pool(worker_count, initializer=_worker_init,
-                              initargs=(grid,)) as pool:
-        return list(pool.imap(_worker_run, specs, chunksize=chunk))
-
-
-def failure_count(records: list[RunRecord]) -> int:
-    return sum(1 for r in records if r.failed)
+    with multiprocessing.Pool(worker_count) as pool:
+        return [r for r in pool.imap(task, specs, chunksize=chunk) if r is not None]
 
 
 def fmt6(x: float) -> str:
@@ -247,11 +246,8 @@ def aggregate(records: list[RunRecord]) -> list[CellSummary]:
     alike fall into one cell; ``cell_key`` runs once per distinct value
     tuple.  Each cell's sum runs over its records in input order, and its
     summary takes the cell values of its first record.  Requires complete
-    cells: failed records are rejected, and all cells must hold the same
-    number of replicates.
+    cells: all cells must hold the same number of replicates.
     """
-    if any(r.failed for r in records):
-        raise SweepError("cannot aggregate failed run records")
     groups: dict[tuple, list[RunRecord]] = {}
     by_values: dict[tuple, list[RunRecord]] = {}
     for record in records:

@@ -18,7 +18,7 @@ from womlab.graph import build_graph, is_connected
 from womlab.model import IGNORANT, SEEKING, UNAWARE, SimConfig, init_population, step
 from womlab.reporting import (read_graphml, read_records_csv, records_csv_string,
                               write_graphml, write_records_csv)
-from womlab.sweep import SweepGrid, aggregate, failure_count, run_sweep
+from womlab.sweep import SweepGrid, aggregate, run_sweep
 
 from test_graph import oracle_clustering, oracle_path_stats, random_graph
 from test_model import agent_lists
@@ -59,7 +59,7 @@ def cell_grid(model, params, k, curious, enthusiastic, supporters, reps):
 def cell_mean(model, params, k, curious, enthusiastic, supporters, reps=10):
     grid = cell_grid(model, params, k, curious, enthusiastic, supporters, reps)
     records = run_sweep(grid, worker_count=2)
-    assert failure_count(records) == 0
+    assert len(records) == grid.run_count()
     return _mean([r.final_both for r in records])
 
 
@@ -144,7 +144,7 @@ def test_c4_threshold_and_asymmetry():
                          supporter_values=(0.0,), k_values=(0.01,),
                          replications=10, base_seed=BASE_SEED)
         records = run_sweep(grid, worker_count=2)
-        assert failure_count(records) == 0
+        assert len(records) == grid.run_count()
         cells = aggregate(records)
         assert len(cells) == 21
         worst[model] = max(c.mean_final_both for c in cells)
@@ -171,7 +171,7 @@ def test_c5_supporter_regime():
                          supporter_values=(0.0, 0.5), k_values=(k,),
                          replications=5, base_seed=BASE_SEED)
         records = run_sweep(grid, worker_count=2)
-        assert failure_count(records) == 0
+        assert len(records) == grid.run_count()
         means = {s: _mean([r.final_both for r in records if r.supporters == s])
                  for s in (0.0, 0.5)}
         diffs[k] = abs(means[0.5] - means[0.0])
@@ -197,7 +197,7 @@ def test_c6_nonmonotone_k():
 # -- criterion 7: property suites ----------------------------------------------------
 
 
-def test_c7_property_suites(tmp_path):
+def test_c7_property_suites(tmp_path, monkeypatch):
     rng = np.random.default_rng(1771)
 
     # graph metrics vs brute-force oracles, 100 random graphs <= 12 nodes
@@ -254,7 +254,9 @@ def test_c7_property_suites(tmp_path):
     back = read_records_csv(csv_path)
     assert records_csv_string(back) == records_csv_string(records)
 
-    # scheduling invariance on the 4-cell grid, jobs=1 vs jobs=8
+    # scheduling invariance on the 4-cell grid, jobs=1 vs jobs=8; two
+    # usable CPUs, so even a one-CPU machine runs the pool path
+    monkeypatch.setattr("womlab.sweep._usable_cpus", lambda: 2)
     f1 = records_csv_string(run_sweep(grid, worker_count=1))
     f8 = records_csv_string(run_sweep(grid, worker_count=8))
     assert f1 == f8
@@ -273,7 +275,6 @@ def test_c8_full_grid_performance(tmp_path):
     start = time.perf_counter()
     records = run_sweep(grid, worker_count=8)
     elapsed = time.perf_counter() - start
-    assert failure_count(records) == 0
     assert len(records) == 39690
     write_records_csv(records, tmp_path / "ws_grid.csv")
     self_gb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024 / 1024

@@ -7,7 +7,8 @@ import pytest
 
 import womlab
 from womlab.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, _model_params, build_parser, main
-from womlab.generators import MODEL_IDS, FfParams, WsParams, default_params
+from womlab.generators import (MODEL_IDS, FfParams, GenerationError, SiiParams, WsParams,
+                               default_params, generate_validated)
 from womlab.graph import build_graph
 from womlab.model import SimConfig
 from womlab.reporting import write_graphml, write_records_csv
@@ -196,7 +197,8 @@ def sweep_args(out, jobs):
             "--jobs", jobs, "--out", out)
 
 
-def test_sweep_jobs_byte_identical(tmp_path, capsys):
+def test_sweep_jobs_byte_identical(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("womlab.sweep._usable_cpus", lambda: 2)  # the pool path on any machine
     f1, f8 = tmp_path / "r1.csv", tmp_path / "r8.csv"
     code1, out1, _ = run_cli(capsys, *sweep_args(str(f1), "1"))
     code8, out8, _ = run_cli(capsys, *sweep_args(str(f8), "8"))
@@ -223,6 +225,34 @@ def test_sweep_all_failed_exits_2(tmp_path, capsys):
     assert code == EXIT_RUNTIME
     assert "failed: 2" in stdout
     assert out.read_text().count("\n") == 1  # header only
+
+
+def test_sweep_partly_failing_same_for_any_jobs(tmp_path, capsys, monkeypatch):
+    # Sparse islands with one attempt per run: some runs find no connected network.
+    monkeypatch.setattr("womlab.sweep._usable_cpus", lambda: 2)  # the pool path on any machine
+    params = SiiParams(n_islands=4, island_size=8, p_in=0.35, n_inter=1)
+    failed_seeds = set()
+    for seed in range(20):
+        try:
+            generate_validated("sii", params, seed, max_retries=1)
+        except GenerationError:
+            failed_seeds.add(seed)
+    assert 0 < len(failed_seeds) < 20
+    flags = ("sweep", "--model", "sii", "--islands", "4", "--island-size", "8",
+             "--p-in", "0.35", "--inter", "1", "--max-retries", "1", "--k", "0.1",
+             "--supporters", "0", "--curious", "0.5", "--enthusiastic", "0.5",
+             "--reps", "20", "--base-seed", "0")
+    results = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"records{jobs}.csv"
+        code, stdout, _ = run_cli(capsys, *flags, "--jobs", jobs, "--out", str(out))
+        results.append((code, stdout, out.read_bytes()))
+    assert results[0] == results[1]
+    code, stdout, data = results[0]
+    assert code == EXIT_RUNTIME
+    assert stdout == f"runs: 20, failed: {len(failed_seeds)}\n"
+    seeds = [int(line.split(",")[1]) for line in data.decode().splitlines()[1:]]
+    assert seeds == sorted(set(range(20)) - failed_seeds)
 
 
 @pytest.mark.parametrize("curious", ["0.5,0.5,0", "0.5,0.5000000001"])
@@ -256,11 +286,12 @@ def test_sweep_unwritable_out_exits_2_before_any_run(tmp_path, capsys, monkeypat
 
 
 def test_sweep_without_axis_flags_runs_the_default_grid(tmp_path, capsys, monkeypatch):
+    # A sweep that returns no records had every run fail.
     grids = []
     monkeypatch.setattr("womlab.cli.run_sweep", lambda grid, jobs: grids.append(grid) or [])
     code, stdout, _ = run_cli(capsys, "sweep", "--model", "ws",
                               "--out", str(tmp_path / "records.csv"))
-    assert code == EXIT_OK and stdout == "runs: 0, failed: 0\n"
+    assert code == EXIT_RUNTIME and stdout == "runs: 39690, failed: 39690\n"
     assert grids == [SweepGrid("ws")]
     assert grids[0].run_count() == 39_690
 
@@ -315,6 +346,18 @@ def test_report_bad_later_panel_writes_nothing(tmp_path, capsys):
     assert code == EXIT_RUNTIME
     assert "missing" in err
     assert stdout == "" and list(out_dir.glob("heatmap_*")) == []
+
+
+def test_report_unknown_network_model_exits_2_and_writes_nothing(tmp_path, capsys):
+    # "zz/b" sorts after "ws", so its panel would be written second.
+    csv_path = tmp_path / "records.csv"
+    write_records_csv([record(0.5), record(0.5, network_model="zz/b")], csv_path)
+    out_dir = tmp_path / "heat"
+    code, stdout, err = run_cli(capsys, "report", "--in", str(csv_path),
+                                "--out-dir", str(out_dir))
+    assert code == EXIT_RUNTIME
+    assert err.startswith("womlab: error: records CSV line 3: network_model") and "'zz/b'" in err
+    assert stdout == "" and list(out_dir.glob("**/*")) == []
 
 
 @pytest.mark.parametrize("column,value", [(9, "ten"), (10, "maybe")],

@@ -56,7 +56,8 @@ def test_sweep_records_digest(model, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_retried_sweep_records_digest(jobs, tmp_path, capsys):
+def test_retried_sweep_records_digest(jobs, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("womlab.sweep._usable_cpus", lambda: 2)  # the pool path on any machine
     out = tmp_path / "records.csv"
     stdout = run_cli(capsys, "sweep", *RETRY_SWEEP_FLAGS, "--jobs", jobs, "--out", str(out))
     assert stdout == b"runs: 20, failed: 0\n"

@@ -11,7 +11,7 @@ from womlab.reporting import (HEATMAP_CELL_PX, GraphMLError, CsvFormatError,
                               HeatmapError, RECORDS_HEADER, graphml_string, panels,
                               read_graphml, read_records_csv, records_csv_string,
                               render_heatmap, write_graphml, write_records_csv)
-from womlab.sweep import CellSummary, SweepGrid, aggregate, run_sweep
+from womlab.sweep import CellSummary, RunRecord, SweepGrid, aggregate, run_sweep
 from test_sweep import record, small_grid
 
 
@@ -170,9 +170,9 @@ def test_records_csv_round_trip(tmp_path):
         assert x.mean_final_both == pytest.approx(y.mean_final_both, abs=1e-6)
 
 
-def test_records_csv_rejects_failed():
-    with pytest.raises(ValueError, match="failed"):
-        records_csv_string([record(0.5, failed=True)])
+def test_run_record_fields_are_the_records_header_in_order():
+    # read_records_csv builds each RunRecord from the row by position.
+    assert [f.name for f in dataclasses.fields(RunRecord)] == RECORDS_HEADER.split(",")
 
 
 def test_records_csv_header_mismatch(tmp_path):
@@ -212,6 +212,22 @@ def test_records_csv_rejects_bad_hit_max_rounds(tmp_path, value):
     path.write_text(records_text(record_row(), ",".join(fields)))
     with pytest.raises(CsvFormatError, match="line 3: hit_max_rounds"):
         read_records_csv(path)
+
+
+@pytest.mark.parametrize("model", ["zz/b", "", "WS"])
+def test_records_csv_rejects_unknown_network_model(tmp_path, model):
+    path = tmp_path / "records.csv"
+    path.write_text(records_text(record_row(), record_row(network_model=model)))
+    with pytest.raises(CsvFormatError, match="line 3: network_model must be one of "
+                                             "ff, file, sii, ws"):
+        read_records_csv(path)
+
+
+def test_records_csv_reads_every_network_model_written(tmp_path):
+    models = ["ws", "ff", "sii", "file"]
+    path = tmp_path / "records.csv"
+    path.write_text(records_text(*(record_row(network_model=m) for m in models)))
+    assert [r.network_model for r in read_records_csv(path)] == models
 
 
 def test_records_csv_non_numeric_field_names_file_line(tmp_path):

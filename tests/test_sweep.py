@@ -3,10 +3,10 @@
 import pytest
 
 import womlab.sweep
-from womlab.generators import SiiParams, WsParams, generate_validated
+from womlab.generators import GenerationError, SiiParams, WsParams, generate_validated
 from womlab.sweep import (SIM_SEED_XOR, CellSummary, RunRecord, SweepError,
                           SweepGrid, aggregate, enumerate_cells, execute_run,
-                          failure_count, run_sweep)
+                          run_sweep)
 
 SMALL_WS = WsParams(n=80, nei=3, p_rewire=0.1)
 
@@ -100,7 +100,8 @@ def test_grid_rejects_axis_values_that_print_alike(axis, values):
 # -- execution ------------------------------------------------------------------
 
 
-def test_scheduling_invariance_one_vs_many_workers():
+def test_scheduling_invariance_one_vs_many_workers(monkeypatch):
+    monkeypatch.setattr(womlab.sweep, "_usable_cpus", lambda: 2)  # the pool path on any machine
     grid = small_grid()
     sequential = run_sweep(grid, worker_count=1)
     parallel = run_sweep(grid, worker_count=2)
@@ -117,21 +118,19 @@ def test_records_follow_enumeration_order():
         assert rec.sim_seed == spec.sim_seed
         assert (rec.k, rec.supporters, rec.curious, rec.enthusiastic) == (
             spec.k, spec.supporters, spec.curious, spec.enthusiastic)
-        assert not rec.failed
         assert rec.nodes == 80
 
 
-def test_failed_generation_is_flagged_not_fatal():
+def test_failed_generation_leaves_no_record_and_does_not_stop_the_sweep():
     # islands that can never connect: every run fails but the sweep finishes
     grid = SweepGrid(network_model="sii",
                      params=SiiParams(n_islands=2, island_size=2, p_in=0.0, n_inter=1),
                      curious_values=(0.5,), enthusiastic_values=(0.5,),
                      supporter_values=(0.0,), k_values=(0.1,),
                      replications=3, base_seed=0, max_retries=2)
-    records = run_sweep(grid, worker_count=1)
-    assert len(records) == 3
-    assert failure_count(records) == 3
-    assert all(r.failed for r in records)
+    assert run_sweep(grid, worker_count=1) == []
+    with pytest.raises(GenerationError):
+        execute_run(grid, enumerate_cells(grid)[0])
 
 
 def test_retried_runs_never_share_a_network(monkeypatch):
@@ -151,19 +150,20 @@ def test_retried_runs_never_share_a_network(monkeypatch):
                      supporter_values=(0.0,), k_values=(0.1,),
                      replications=20, base_seed=0)
     records = run_sweep(grid, worker_count=1)
-    assert failure_count(records) == 0
+    assert len(records) == grid.run_count()
     assert sum(attempts > 1 for _, attempts in built) >= 5
     edge_sets = [tuple(edges) for edges, _ in built]
     assert len(set(edge_sets)) == len(edge_sets) == 20
 
 
-def test_pool_never_exceeds_the_run_count(monkeypatch):
+def inline_pool(monkeypatch, cpus):
+    """Run the pool path in this process on ``cpus`` usable CPUs; returns
+    the list of pool sizes requested."""
     sizes = []
 
     class InlinePool:
-        def __init__(self, processes, initializer, initargs):
+        def __init__(self, processes):
             sizes.append(processes)
-            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -175,13 +175,32 @@ def test_pool_never_exceeds_the_run_count(monkeypatch):
             return map(func, iterable)
 
     monkeypatch.setattr(womlab.sweep.multiprocessing, "Pool", InlinePool)
-    monkeypatch.setattr(womlab.sweep, "_WORKER_GRID", None)
+    monkeypatch.setattr(womlab.sweep, "_usable_cpus", lambda: cpus)
+    return sizes
+
+
+def test_pool_never_exceeds_the_run_count(monkeypatch):
+    sizes = inline_pool(monkeypatch, cpus=8)
     one_run = small_grid(curious_values=(0.3,), enthusiastic_values=(0.3,), replications=1)
     two_runs = small_grid(curious_values=(0.3,), enthusiastic_values=(0.3,))
     assert run_sweep(one_run, worker_count=4) == run_sweep(one_run, worker_count=1)
     assert sizes == []
     assert run_sweep(two_runs, worker_count=4) == run_sweep(two_runs, worker_count=1)
     assert sizes == [2]
+
+
+@pytest.mark.parametrize("cpus,expected", [(1, []), (3, [3])])
+def test_pool_never_exceeds_the_usable_cpus(monkeypatch, cpus, expected):
+    sizes = inline_pool(monkeypatch, cpus)
+    grid = small_grid()
+    assert run_sweep(grid, worker_count=5000) == run_sweep(grid, worker_count=1)
+    assert sizes == expected
+
+
+def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
+    monkeypatch.delattr(womlab.sweep.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(womlab.sweep.os, "cpu_count", lambda: 3)
+    assert womlab.sweep._usable_cpus() == 3
 
 
 def test_execute_run_is_pure():
@@ -218,11 +237,6 @@ def test_aggregate_ragged_groups_error():
     records = [record(0.5), record(0.5, sim_seed=2), record(0.9, curious=0.9)]
     with pytest.raises(SweepError, match="ragged"):
         aggregate(records)
-
-
-def test_aggregate_rejects_failed_records():
-    with pytest.raises(SweepError, match="failed"):
-        aggregate([record(0.5, failed=True)])
 
 
 def test_aggregate_groups_by_model_and_cell():
