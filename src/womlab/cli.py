@@ -212,11 +212,16 @@ def cmd_report(args) -> int:
     if not records:
         raise CsvFormatError("records CSV contains no rows")
     # Render every panel before writing any, so a bad panel leaves no output.
-    rendered = [(f"heatmap_{model}_k{k:g}_s{supporters:g}", render_heatmap(panel))
-                for (model, k, supporters), panel in panels(aggregate(records))]
+    rendered, owners = {}, {}
+    for (model, k, supporters), panel in panels(aggregate(records)):
+        stem = f"heatmap_{model}_k{k:g}_s{supporters:g}"
+        owner = f"{model} k={k!r} supporters={supporters!r}"
+        if owners.setdefault(stem, owner) != owner:  # :g can print two panels alike
+            raise ValueError(f"panels {owners[stem]} and {owner} would both write {stem}")
+        rendered[stem] = render_heatmap(panel)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for stem, (csv_text, ppm_text) in rendered:
+    for stem, (csv_text, ppm_text) in rendered.items():
         (out_dir / f"{stem}.csv").write_text(csv_text, encoding="utf-8")
         (out_dir / f"{stem}.ppm").write_text(ppm_text, encoding="utf-8")
         print(f"{stem}.csv {stem}.ppm")

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .graph import Graph, GraphMetrics, build_graph, compute_metrics, is_connected
-from .rng import (GEOMETRIC_SEARCH_MIN_P, PhiloxReplay, RngSeed,
+from .rng import (GEOMETRIC_SEARCH_MIN_P, RAW_BLOCK, PhiloxReplay, RngSeed,
                   geometric_thresholds, make_rng)
 
 # Resampling cap when a rewired endpoint keeps colliding with existing
@@ -180,54 +180,43 @@ def generate_ff(params: FfParams, seed: RngSeed) -> Graph:
     Draw order per new node: ambassador picks (resampled until
     distinct), then per dequeued node the forward count, the backward
     count, and the candidate index picks for whichever counts are
-    positive, out-neighbors first.  A count is one geometric draw minus
-    one (no draw when its probability is 0, or for the backward count
-    when ``fw_prob * bw_factor >= 1``, which burns every in-neighbor).
-    Picks take ``Generator.choice(len, size=want, replace=False)``; a
-    single pick takes ``Generator.integers(0, len)`` instead, which
-    consumes the same draw and returns the same index.
+    positive, out-neighbors first.  Picks take
+    ``Generator.choice(len, size=want, replace=False)``; a single pick
+    takes ``Generator.integers(0, len)``, the same draw and index.
 
     The draws are those of ``np.random.Generator`` on the seed's Philox
-    stream, replayed by :class:`PhiloxReplay`.  Each count is
-    ``bisect_right(table, word())``: the word is one raw Philox word and
-    the table is :func:`geometric_thresholds` of the count's success
-    probability, built once per call, which is numpy's CDF search on that
-    word.  When a success probability falls below
+    stream, replayed by one :class:`PhiloxReplay`.  A count is
+    ``bisect_right(table, word())`` for the pair that ``counts`` gives
+    its burn probability: no draw (0 against ``()``) at 0; every
+    in-neighbor (``n`` against ``range(n)``) at 1 or more; else one raw
+    word against :func:`geometric_thresholds` of the success
+    probability, numpy's CDF search on that word.  Below
     ``GEOMETRIC_SEARCH_MIN_P`` (``fw_prob > 2/3``, or
-    ``2/3 < fw_prob * bw_factor < 1``), numpy samples it from an
-    exponential, which the replay does not reproduce, and all draws come
-    from the ``Generator`` itself; a count's word is then its geometric
-    draw and its table ``range(2, n + 2)``, which gives the draw minus
-    one, capped at ``n`` (more than any node has neighbors).  A count that
-    takes no draw has a constant word: 0 against an empty table, or ``n``
-    against ``range(n)`` to burn every in-neighbor.
+    ``2/3 < fw_prob * bw_factor < 1``) numpy samples the count from an
+    exponential: the word is then numpy's own geometric draw against
+    ``range(2, n + 2)`` (the draw minus one, capped at ``n``, more than
+    any node has neighbors), and the replay reads one word at a time,
+    never ahead of numpy on the shared bit generator.
     """
     n, p, ambs = params.n, params.fw_prob, params.ambs
     pb = p * params.bw_factor
     rng = make_rng(seed)
-    q_fwd, q_bwd = 1.0 - p, 1.0 - pb
-    if q_fwd >= GEOMETRIC_SEARCH_MIN_P and (q_bwd >= GEOMETRIC_SEARCH_MIN_P or pb >= 1.0):
-        replay = PhiloxReplay(rng.bit_generator)
-        integers, choice = replay.integers, replay.choice
+    numpy_geometric = any(bp < 1.0 and 1.0 - bp < GEOMETRIC_SEARCH_MIN_P for bp in (p, pb))
+    replay = PhiloxReplay(rng.bit_generator, 1 if numpy_geometric else RAW_BLOCK)
+    integers, choice = replay.integers, replay.choice
 
-        def counts(q: float) -> tuple[Sequence[int], Callable[[], int]]:
+    def counts(burn_prob: float) -> tuple[Sequence[int], Callable[[], int]]:
+        if burn_prob <= 0.0:
+            return (), repeat(0).__next__
+        if burn_prob >= 1.0:
+            return range(n), repeat(n).__next__
+        q = 1.0 - burn_prob
+        if q >= GEOMETRIC_SEARCH_MIN_P:
             return geometric_thresholds(q), replay.raw
-    else:
-        def integers(hi: int) -> int:
-            return int(rng.integers(0, hi))
+        return range(2, n + 2), partial(rng.geometric, q)
 
-        def choice(pop: int, k: int) -> list[int]:
-            return rng.choice(pop, size=k, replace=False).tolist()
-
-        def counts(q: float) -> tuple[Sequence[int], Callable[[], int]]:
-            return range(2, n + 2), partial(rng.geometric, q)
-    # A count is bisect_right(table, word()) for its (table, word) pair.
-    no_draw = ((), repeat(0).__next__)
-    fwd_table, fwd_word = counts(q_fwd) if p > 0.0 else no_draw
-    if pb >= 1.0:
-        bwd_table, bwd_word = range(n), repeat(n).__next__
-    else:
-        bwd_table, bwd_word = counts(q_bwd) if pb > 0.0 else no_draw
+    fwd_table, fwd_word = counts(p)
+    bwd_table, bwd_word = counts(pb)
     src: list[int] = []
     dst: list[int] = []
     out_adj: list[list[int]] = [[] for _ in range(n)]
@@ -323,21 +312,22 @@ _GENERATORS = {
 MODEL_IDS = tuple(_GENERATORS)
 
 
-def default_params(model: str):
-    """Default parameter set for a model id."""
+def _generator(model: str):
+    """The ``(params class, generator)`` pair of a model id."""
     try:
-        cls, _ = _GENERATORS[model]
+        return _GENERATORS[model]
     except KeyError:
         raise ValueError(f"unknown network model {model!r}; expected one of {MODEL_IDS}")
-    return cls()
+
+
+def default_params(model: str):
+    """Default parameter set for a model id."""
+    return _generator(model)[0]()
 
 
 def generate(model: str, params, seed: RngSeed) -> Graph:
     """Dispatch to the named generator, checking the params type."""
-    try:
-        cls, fn = _GENERATORS[model]
-    except KeyError:
-        raise ValueError(f"unknown network model {model!r}; expected one of {MODEL_IDS}")
+    cls, fn = _generator(model)
     if not isinstance(params, cls):
         raise TypeError(f"model {model!r} expects {cls.__name__}, got {type(params).__name__}")
     return fn(params, seed)

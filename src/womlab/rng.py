@@ -15,7 +15,7 @@ import numpy as np
 SEED_MASK = (1 << 64) - 1
 
 _U32 = 0xFFFFFFFF
-_RAW_BLOCK = 512  # raw words per random_raw() call of PhiloxReplay
+RAW_BLOCK = 512  # PhiloxReplay's default read-ahead, in raw words
 _DOUBLE_SCALE = 9007199254740992.0  # 2**53: a double draw is (word >> 11) / 2**53
 
 # numpy's geometric() searches the CDF from p = 1/3 up and samples an
@@ -44,12 +44,12 @@ class PhiloxReplay:
     """numpy ``Generator`` draws, replayed in Python from raw Philox output.
 
     Takes over a Philox bit generator from the current point of its
-    stream (the bit generator must take no further draws of its own) and
-    returns exactly what ``np.random.Generator`` (numpy 2.x) would return
-    for the same calls in the same order, at a fraction of numpy's
-    per-call cost for scalar draws.  Raw 64-bit words are pulled in
-    blocks; a stream discarded after its last draw makes the words
-    pulled past that draw unobservable.
+    stream and returns exactly what ``np.random.Generator`` (numpy 2.x)
+    would return for the same calls in the same order, at a fraction of
+    numpy's per-call cost for scalar draws.  Raw 64-bit words are pulled
+    ``read_ahead`` at a time, so only with a one-word read-ahead may other
+    whole-word draws (numpy's ``geometric``, say) share the bit generator;
+    words pulled past a discarded stream's last draw are unobservable.
 
     As in numpy, a 32-bit draw takes the low half of a fresh word and
     buffers the high half for the next 32-bit draw; a double takes a
@@ -64,10 +64,10 @@ class PhiloxReplay:
 
     __slots__ = ("raw", "_half")
 
-    def __init__(self, bit_generator: np.random.Philox):
+    def __init__(self, bit_generator: np.random.Philox, read_ahead: int = RAW_BLOCK):
         state = bit_generator.state
         self._half = state["uinteger"] if state["has_uint32"] else None
-        blocks = iter(lambda: bit_generator.random_raw(_RAW_BLOCK).tolist(), None)
+        blocks = iter(lambda: bit_generator.random_raw(read_ahead).tolist(), None)
         self.raw = chain.from_iterable(blocks).__next__
 
     def _next_uint32(self) -> int:

@@ -10,7 +10,6 @@ a sweep is bit-reproducible for any worker count.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from dataclasses import dataclass
 from functools import partial
@@ -213,6 +212,7 @@ def run_sweep(grid: SweepGrid, worker_count: int = 1) -> list[RunRecord]:
     Each run depends only on its own derived seeds, so the result is
     bit-identical for every ``worker_count``, which is capped at the run
     count and the usable CPUs; parallelism only changes the wall time.
+    A worker that dies raises ``ChildProcessError``.
     """
     if worker_count < 1:
         raise SweepError("worker_count must be >= 1")
@@ -221,9 +221,13 @@ def run_sweep(grid: SweepGrid, worker_count: int = 1) -> list[RunRecord]:
     worker_count = min(worker_count, len(specs), _usable_cpus())
     if worker_count == 1:
         return [r for r in map(task, specs) if r is not None]
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
     chunk = max(1, len(specs) // (worker_count * 16))
-    with multiprocessing.Pool(worker_count) as pool:
-        return [r for r in pool.imap(task, specs, chunksize=chunk) if r is not None]
+    try:
+        with ProcessPoolExecutor(worker_count) as pool:
+            return [r for r in pool.map(task, specs, chunksize=chunk) if r is not None]
+    except BrokenProcessPool as exc:
+        raise ChildProcessError(f"a sweep worker died: {exc}") from exc
 
 
 def fmt6(x: float) -> str:

@@ -1,6 +1,9 @@
 """Command-line interface: flags, exit codes, determinism, file outputs."""
 
 import itertools
+import os
+import subprocess
+import sys
 import types
 
 import pytest
@@ -255,6 +258,39 @@ def test_sweep_partly_failing_same_for_any_jobs(tmp_path, capsys, monkeypatch):
     assert seeds == sorted(set(range(20)) - failed_seeds)
 
 
+# Run in a child interpreter: ``main`` with a sweep worker that dies at run 3.
+DYING_WORKER_SWEEP = """
+import os, sys
+import womlab.sweep
+from womlab.cli import main
+execute_run = womlab.sweep.execute_run
+
+def dying(grid, spec):
+    if spec.index == 3:
+        os._exit(1)
+    return execute_run(grid, spec)
+
+womlab.sweep.execute_run = dying
+womlab.sweep._usable_cpus = lambda: 2
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_sweep_dead_worker_exits_2_instead_of_hanging(tmp_path):
+    # A subprocess with a timeout, so that a hung pool fails the test
+    # instead of stalling the suite; 2 workers, 12 runs.
+    out = tmp_path / "records.csv"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    child = subprocess.run(
+        [sys.executable, "-c", DYING_WORKER_SWEEP, "sweep", "--model", "ws", "--n", "60",
+         "--nei", "2", "--k", "0.1", "--supporters", "0", "--curious", "0.2,0.8",
+         "--enthusiastic", "0.2,0.5,0.8", "--reps", "2", "--jobs", "2", "--out", str(out)],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert child.returncode == EXIT_RUNTIME, child.stderr
+    assert child.stderr.startswith("womlab: error: a sweep worker died")
+    assert child.stdout == "" and not out.exists()
+
+
 @pytest.mark.parametrize("curious", ["0.5,0.5,0", "0.5,0.5000000001"])
 def test_sweep_axis_values_that_print_alike_exit_2_before_any_run(tmp_path, capsys,
                                                                   monkeypatch, curious):
@@ -346,6 +382,23 @@ def test_report_bad_later_panel_writes_nothing(tmp_path, capsys):
     assert code == EXIT_RUNTIME
     assert "missing" in err
     assert stdout == "" and list(out_dir.glob("heatmap_*")) == []
+
+
+def test_report_panels_that_share_a_file_name_exit_2_and_write_nothing(tmp_path, capsys):
+    # cell_key tells k = 0.012345 from 0.012346; both print as k0.0123455.
+    csv_path = tmp_path / "records.csv"
+    write_records_csv([record(0.5)], csv_path)
+    header, row = csv_path.read_text().splitlines()
+    fields = row.split(",")
+    rows = [",".join(fields[:3] + [k] + fields[4:]) for k in ("0.01234549", "0.01234551")]
+    csv_path.write_text("\n".join([header, *rows]) + "\n")
+    out_dir = tmp_path / "heat"
+    code, stdout, err = run_cli(capsys, "report", "--in", str(csv_path),
+                                "--out-dir", str(out_dir))
+    assert code == EXIT_RUNTIME
+    assert err == ("womlab: error: panels ws k=0.01234549 supporters=0.0 and "
+                   "ws k=0.01234551 supporters=0.0 would both write heatmap_ws_k0.0123455_s0\n")
+    assert stdout == "" and not out_dir.exists()
 
 
 def test_report_unknown_network_model_exits_2_and_writes_nothing(tmp_path, capsys):

@@ -172,6 +172,16 @@ def _geometric_minus_one(rng, p):
     return int(rng.geometric(1.0 - p)) - 1
 
 
+class WholeWordStream:
+    """A seed's numpy ``Generator`` with only ``bit_generator``, ``random``
+    and ``geometric``: the draws that read whole raw words."""
+
+    def __init__(self, seed):
+        rng = make_rng(seed)
+        self.bit_generator, self.random, self.geometric = (rng.bit_generator, rng.random,
+                                                           rng.geometric)
+
+
 def reference_ff(params, seed):
     """The original loop form of ``generate_ff``, kept as its draw-order reference."""
     n, p, ambs = params.n, params.fw_prob, params.ambs
@@ -229,12 +239,15 @@ def reference_ff(params, seed):
     FfParams(bw_factor=0.0),  # forward draws, no backward draw
     # Forward success 1 - 2/3 is one ulp above GEOMETRIC_SEARCH_MIN_P: still replayed.
     FfParams(fw_prob=2 / 3, n=150),
-    # Geometric success below 1/3: draws come from the numpy Generator.
+    # Geometric success below 1/3: counts come from numpy's own geometric.
     FfParams(fw_prob=0.8, n=150),
     FfParams(fw_prob=0.6, bw_factor=1.5, n=150),
 ], ids=["defaults", "ambs3", "tree", "burn-all-in", "n1", "no-bwd", "min-p-fwd",
         "numpy-fwd", "numpy-bwd"])
-def test_ff_matches_reference_draw_for_draw(params):
+def test_ff_matches_reference_draw_for_draw(monkeypatch, params):
+    # generate_ff gets a stream with no integers or choice: every such draw
+    # is replayed, on every parameter set.
+    monkeypatch.setattr("womlab.generators.make_rng", WholeWordStream)
     for seed in range(30):
         assert generate_ff(params, seed) == reference_ff(params, seed), seed
 

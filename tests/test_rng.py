@@ -4,18 +4,22 @@ import random
 from bisect import bisect_right
 
 import numpy as np
+import pytest
 
-from womlab.rng import GEOMETRIC_SEARCH_MIN_P, PhiloxReplay, geometric_thresholds, make_rng
+from womlab.rng import (GEOMETRIC_SEARCH_MIN_P, RAW_BLOCK, PhiloxReplay, geometric_thresholds,
+                        make_rng)
 
 # 2**31 + 1 rejects about half of its first draws.
 INTEGER_HIS = (1, 2, 7, 999, 2 ** 31, 2 ** 31 + 1, 2 ** 32 - 5, 2 ** 32)
 GEOMETRIC_PS = (GEOMETRIC_SEARCH_MIN_P, 0.37, 0.63, 0.9, 1.0)
+# numpy samples these from an exponential, which the replay leaves to numpy.
+EXPONENTIAL_PS = (0.01, 0.2, 0.33)
 # (pop, k): Floyd plus shuffle, and numpy's tail shuffle for pop > 10000, k > pop // 50.
 CHOICE_SIZES = ((2, 1), (3, 2), (17, 5), (17, 16), (1000, 40), (10001, 200), (10001, 201),
                 (20000, 401))
 
 
-def _draw_plan(seed, length=300):
+def _draw_plan(seed, geometric_ps=GEOMETRIC_PS, length=300):
     """A random interleaving of the three draw kinds."""
     plan_rng = random.Random(seed)
     plan = []
@@ -24,7 +28,7 @@ def _draw_plan(seed, length=300):
         if kind == "integers":
             plan.append((kind, plan_rng.choice(INTEGER_HIS)))
         elif kind == "geometric":
-            plan.append((kind, plan_rng.choice(GEOMETRIC_PS)))
+            plan.append((kind, plan_rng.choice(geometric_ps)))
         else:
             plan.append((kind, plan_rng.choice(CHOICE_SIZES)))
     return plan
@@ -39,10 +43,14 @@ def _numpy_draw(rng, kind, arg):
     return rng.choice(pop, size=k, replace=False).tolist()
 
 
-def _replay_draw(replay, kind, arg):
+def _replay_draw(replay, shared, kind, arg):
+    """``replay``'s draw, or for a geometric below GEOMETRIC_SEARCH_MIN_P
+    numpy's own on ``shared``, a Generator on the replay's bit generator."""
     if kind == "integers":
         return replay.integers(arg)
     if kind == "geometric":
+        if arg < GEOMETRIC_SEARCH_MIN_P:
+            return int(shared.geometric(arg))
         return bisect_right(geometric_thresholds(arg), replay.raw()) + 1
     return replay.choice(*arg)
 
@@ -60,12 +68,18 @@ def _cdf_search(p, word):
     return x
 
 
-def test_replay_matches_generator_over_interleavings():
+@pytest.mark.parametrize("read_ahead", [1, RAW_BLOCK], ids=["one-word", "block"])
+def test_replay_matches_generator_over_interleavings(read_ahead):
+    # Only a one-word read-ahead lets numpy's own draws share the bit generator.
+    geometric_ps = GEOMETRIC_PS + (EXPONENTIAL_PS if read_ahead == 1 else ())
     for seed in range(60):
         rng = make_rng(seed)
-        replay = PhiloxReplay(np.random.Philox(seed))
-        for step, (kind, arg) in enumerate(_draw_plan(seed)):
-            assert _replay_draw(replay, kind, arg) == _numpy_draw(rng, kind, arg), (seed, step)
+        bit_generator = np.random.Philox(seed)
+        replay = PhiloxReplay(bit_generator, read_ahead)
+        shared = np.random.Generator(bit_generator)
+        for step, (kind, arg) in enumerate(_draw_plan(seed, geometric_ps)):
+            assert (_replay_draw(replay, shared, kind, arg)
+                    == _numpy_draw(rng, kind, arg)), (seed, step)
 
 
 def test_geometric_thresholds_match_the_cdf_search_at_every_boundary():

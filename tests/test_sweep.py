@@ -1,5 +1,7 @@
 """Sweep enumeration, execution determinism and aggregation."""
 
+import concurrent.futures.process
+
 import pytest
 
 import womlab.sweep
@@ -162,8 +164,8 @@ def inline_pool(monkeypatch, cpus):
     sizes = []
 
     class InlinePool:
-        def __init__(self, processes):
-            sizes.append(processes)
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
 
         def __enter__(self):
             return self
@@ -171,10 +173,10 @@ def inline_pool(monkeypatch, cpus):
         def __exit__(self, *exc):
             return False
 
-        def imap(self, func, iterable, chunksize):
-            return map(func, iterable)
+        def map(self, fn, iterable, chunksize):
+            return map(fn, iterable)
 
-    monkeypatch.setattr(womlab.sweep.multiprocessing, "Pool", InlinePool)
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(womlab.sweep, "_usable_cpus", lambda: cpus)
     return sizes
 
