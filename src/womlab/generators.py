@@ -267,40 +267,28 @@ def generate_ff(params: FfParams, seed: RngSeed) -> Graph:
 def generate_sii(params: SiiParams, seed: RngSeed) -> Graph:
     """Erdos-Renyi islands pairwise joined by ``n_inter`` distinct links.
 
-    Draw order: one block of ``C(island_size, 2)`` coins per island
-    (pairs in row-major order, islands ascending), then for every
-    island pair ``(g, h)`` with ``g < h`` in lexicographic order the
-    endpoint picks for each inter-island link, resampled while the
+    Draw order: one island-major block of ``n_islands x C(island_size,
+    2)`` coins (pairs in row-major order within an island), then for
+    every island pair ``(g, h)`` with ``g < h`` in lexicographic order
+    the endpoint picks for each inter-island link, resampled while the
     picked pair already exists.
     """
     k, size, p_in, n_inter = (params.n_islands, params.island_size,
                               params.p_in, params.n_inter)
     rng = make_rng(seed)
     iu, iv = np.triu_indices(size, k=1)
-    edges_u: list[np.ndarray] = []
-    edges_v: list[np.ndarray] = []
-    for g in range(k):
-        base = g * size
-        hit = rng.random(len(iu)) < p_in
-        edges_u.append(iu[hit] + base)
-        edges_v.append(iv[hit] + base)
+    island, pair = np.nonzero(rng.random((k, len(iu))) < p_in)
     integers = PhiloxReplay(rng.bit_generator).integers
-    inter_u: list[int] = []
-    inter_v: list[int] = []
+    inter: list[tuple[int, int]] = []
     for g in range(k):
         for h in range(g + 1, k):
-            seen: set[tuple[int, int]] = set()
-            while len(seen) < n_inter:
-                a = g * size + integers(size)
-                b = h * size + integers(size)
-                if (a, b) in seen:
-                    continue
-                seen.add((a, b))
-                inter_u.append(a)
-                inter_v.append(b)
-    u = np.concatenate(edges_u + [np.asarray(inter_u, dtype=np.int64)])
-    v = np.concatenate(edges_v + [np.asarray(inter_v, dtype=np.int64)])
-    return build_graph(k * size, np.stack([u, v], axis=1))
+            links: set[tuple[int, int]] = set()
+            while len(links) < n_inter:
+                links.add((g * size + integers(size), h * size + integers(size)))
+            inter.extend(links)
+    intra = np.stack([iu[pair] + island * size, iv[pair] + island * size], axis=1)
+    edges = np.concatenate([intra, np.array(inter, dtype=np.int64).reshape(-1, 2)])
+    return build_graph(k * size, edges)
 
 
 _GENERATORS = {

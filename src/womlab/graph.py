@@ -96,10 +96,6 @@ class Graph:
         upper = src < self._indices
         return list(zip(src[upper].tolist(), self._indices[upper].tolist()))
 
-    def neighbors(self, node: int) -> list[int]:
-        """Sorted neighbor ids of ``node``."""
-        return self._indices[self._indptr[node]:self._indptr[node + 1]].tolist()
-
     def csr_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return self._indptr, self._indices
 

@@ -32,6 +32,7 @@ independent worlds share nothing and may run concurrently.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,7 +110,9 @@ class World:
     SEEKING nor PROACTIVE; a seeker is always ignorant and a promoter
     always holds expertise, so no agent has both.  A seeker's list holds
     the neighbors still to query, a promoter's the at most ``t_promote``
-    neighbors still to push to, both in pop order.
+    neighbors still to push to, both in pop order.  ``pending`` maps an
+    agent to the seekers whose query it has not yet answered, in query
+    order; an agent with no open request has no entry.
     """
 
     __slots__ = ("cfg", "rng", "n", "indptr", "indices",
@@ -130,7 +133,7 @@ class World:
         self.enthusiastic = [False] * n
         self.supporter = [False] * n
         self.episode: list[list[int] | None] = [None] * n
-        self.pending: list[list[int]] = [[] for _ in range(n)]
+        self.pending: defaultdict[int, list[int]] = defaultdict(list)
         self.round = 0
         # counts[aw * 3 + ex], kept in sync with every transition.
         self.counts = [0] * 9
@@ -185,8 +188,6 @@ def init_population(graph: Graph, cfg: SimConfig) -> World:
     """
     world = World(graph, cfg)
     n = world.n
-    if n == 0:
-        return world
     expert_count = round_half_up(cfg.k * n)
     if expert_count:
         for i in world.rng.choice(n, size=expert_count, replace=False).tolist():
@@ -251,10 +252,7 @@ def _deliver_expertise(world: World, agent_id: int) -> None:
         else:
             new_ex = KNOWLEDGEABLE
         world._move(i, aw, new_ex)
-        requesters = world.pending[i]
-        if requesters:
-            world.pending[i] = []
-            stack.extend(requesters)
+        stack.extend(world.pending.pop(i, ()))
 
 
 def step(world: World) -> None:

@@ -443,6 +443,14 @@ def test_unknown_subcommand_usage_error(capsys):
     assert code == EXIT_USAGE
 
 
+def test_sweep_unparsable_axis_value_usage_error(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    code, _, err = run_cli(capsys, "sweep", "--model", "ws", "--k", "0.1,x", "--out", str(out))
+    assert code == EXIT_USAGE
+    assert "not a comma-separated float list: '0.1,x'" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("model", MODEL_IDS)
 def test_model_flag_defaults_are_default_params(model):
     args = build_parser().parse_args(["generate", "--model", model, "--out", "x"])

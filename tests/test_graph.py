@@ -62,9 +62,14 @@ def oracle_path_stats(g):
     return sum(finite) / len(finite), int(max(finite)), True
 
 
+def neighbors(g, u):
+    indptr, indices = g.csr_arrays()
+    return indices[indptr[u]:indptr[u + 1]].tolist()
+
+
 def oracle_clustering(g):
     n = g.node_count
-    adj = [set(g.neighbors(i)) for i in range(n)]
+    adj = [set(neighbors(g, i)) for i in range(n)]
     # every triangle a < b < c once, with b and c found among a's neighbors
     triangles = sum(1 for a in range(n) for b, c in itertools.combinations(sorted(adj[a]), 2)
                     if a < b and c in adj[b])
@@ -134,6 +139,13 @@ def test_self_loop_rejected():
         build_graph(2, [(0, 0)])
 
 
+def test_negative_node_count_and_non_pair_rows_rejected():
+    with pytest.raises(GraphConstructionError, match="non-negative"):
+        Graph(-1, [])
+    with pytest.raises(GraphConstructionError, match=r"\(u, v\) pairs"):
+        Graph(3, [(0, 1, 2)])
+
+
 def test_out_of_range_id_rejected():
     with pytest.raises(GraphConstructionError):
         build_graph(3, [(0, 3)])
@@ -186,11 +198,11 @@ def test_adjacency_symmetric_and_sorted():
         n = int(rng.integers(2, 15))
         g = random_graph(rng, n, float(rng.random()))
         for u in range(n):
-            nbrs = g.neighbors(u)
+            nbrs = neighbors(g, u)
             assert nbrs == sorted(nbrs)
             assert u not in nbrs
             for v in nbrs:
-                assert u in g.neighbors(v)
+                assert u in neighbors(g, v)
 
 
 # -- density ----------------------------------------------------------------

@@ -28,14 +28,20 @@ def make_world(graph, **overrides):
 
 
 PER_AGENT_LISTS = ("awareness", "expertise", "curious", "enthusiastic", "supporter",
-                   "episode", "pending")
+                   "episode")
 # Every other World slot; a new slot must join one of the two tuples.
-WORLD_SLOTS = ("cfg", "rng", "n", "indptr", "indices", "round", "counts")
+WORLD_SLOTS = ("cfg", "rng", "n", "indptr", "indices", "pending", "round", "counts")
+
+
+def open_requests(w):
+    """``pending`` as {agent: requesters}, over the agents with open requests."""
+    return {i: requesters for i, requesters in w.pending.items() if requesters}
 
 
 def live_agent_lists(w):
-    """Every per-agent list, uncopied, for comparing two worlds as they stand."""
-    return [getattr(w, name) for name in PER_AGENT_LISTS]
+    """Every per-agent list and the open requests, uncopied, for comparing
+    two worlds as they stand."""
+    return [getattr(w, name) for name in PER_AGENT_LISTS] + [open_requests(w)]
 
 
 def agent_lists(w):
@@ -188,7 +194,7 @@ def test_gathering_chain_backpropagates():
     _deliver_expertise(w, 2)
     assert all(w.expertise[i] != IGNORANT for i in range(3))
     assert w.awareness[0] == AWARE and w.awareness[1] == AWARE
-    assert w.pending == [[], [], []]
+    assert not any(w.pending.values())
 
 
 def test_chain_survives_give_up():
@@ -420,12 +426,14 @@ def test_reachability_oracle_on_disconnected_graphs():
         _, ref_world, ref = reference_run(g, cfg)
         assert live_agent_lists(w) == ref_agent_lists(ref_world, ref), trial
 
+        indptr, indices = g.csr_arrays()
+
         def component(sources):
             seen = set(sources)
             stack = list(sources)
             while stack:
                 u = stack.pop()
-                for v in g.neighbors(u):
+                for v in indices[indptr[u]:indptr[u + 1]].tolist():
                     if v not in seen:
                         seen.add(v)
                         stack.append(v)
@@ -473,10 +481,11 @@ class RefEpisodes:
 
 
 def ref_agent_lists(w, ref):
-    """The oracle world's per-agent lists, its episodes in World's form."""
+    """The oracle world's per-agent lists, its episodes in World's form,
+    and its open requests."""
     assert all(e is None for e in w.episode)  # the oracle never sets it
     return [ref.as_episode() if name == "episode" else getattr(w, name)
-            for name in PER_AGENT_LISTS]
+            for name in PER_AGENT_LISTS] + [open_requests(w)]
 
 
 def _ref_is_quiescent(w, ref):
@@ -490,7 +499,8 @@ def _ref_is_quiescent(w, ref):
 
 
 def _ref_shuffled_neighbors(w, ref, i):
-    neighbors = np.asarray(ref.graph.neighbors(i), dtype=np.int64)
+    indptr, indices = ref.graph.csr_arrays()
+    neighbors = indices[indptr[i]:indptr[i + 1]].copy()  # shuffle works in place
     w.rng.shuffle(neighbors)
     return neighbors.tolist()
 

@@ -132,6 +132,31 @@ def test_graphml_rejects_duplicate_node_id(tmp_path):
         read_graphml(path)
 
 
+@pytest.mark.parametrize("body,message", [
+    ('<graph edgedefault="undirected">\n<graph>\n</graph>\n</graph>',
+     r"nested or repeated <graph> \(line 3\)"),
+    ('<graph edgedefault="undirected">\n</graph>\n<graph>\n</graph>',
+     r"nested or repeated <graph> \(line 4\)"),
+    ('<graph edgedefault="undirected">\n<node/>\n</graph>', r"<node> without id \(line 3\)"),
+    ('<graph edgedefault="undirected">\n<node id="n0"/>\n<edge source="n0"/>\n</graph>',
+     r"<edge> without source/target \(line 4\)"),
+    ('<graph edgedefault="undirected">\n<node id="n0"/>\n<edge target="n0"/>\n</graph>',
+     r"<edge> without source/target \(line 4\)"),
+    ('<graph edgedefault="undirected">\n<hyperedge/>\n</graph>',
+     r"unsupported GraphML feature <hyperedge> \(line 3\)"),
+    ('<graph edgedefault="undirected">\n<node id="n0">\n<port name="p"/>\n</node>\n</graph>',
+     r"unsupported GraphML feature <port> \(line 4\)"),
+    ('<key id="d0" for="node"/>', r"^no <graph> element found$"),
+], ids=["nested-graph", "repeated-graph", "node-without-id", "edge-without-target",
+        "edge-without-source", "hyperedge", "port", "no-graph"])
+def test_graphml_rejects_unsupported_structure(tmp_path, body, message):
+    path = tmp_path / "bad.graphml"
+    path.write_text(f'<graphml xmlns="http://graphml.graphdrawing.org/xmlns">\n{body}\n'
+                    '</graphml>\n')
+    with pytest.raises(GraphMLError, match=message):
+        read_graphml(path)
+
+
 def test_graphml_duplicate_edges_collapse(tmp_path):
     path = tmp_path / "dupedge.graphml"
     path.write_text('<graphml><graph edgedefault="undirected">'

@@ -83,6 +83,10 @@ def test_grid_validation():
         small_grid(k_values=(1.5,))
     with pytest.raises(SweepError):
         small_grid(replications=0)
+    with pytest.raises(SweepError, match="max_retries"):
+        small_grid(max_retries=0)
+    with pytest.raises(SweepError, match="worker_count"):
+        run_sweep(small_grid(), 0)
     with pytest.raises(ValueError):
         SweepGrid(network_model="unknown")
 
