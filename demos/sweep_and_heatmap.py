@@ -29,7 +29,8 @@ records = run_sweep(grid, worker_count=2)
 write_records_csv(records, "demo_records.csv")
 
 # One k and one supporters value: the whole grid is one panel.
-csv_text, ppm_text = render_heatmap(aggregate(records))
+[(_, cells)] = aggregate(records)
+csv_text, ppm_text = render_heatmap(cells)
 Path("demo_heatmap.csv").write_text(csv_text)
 Path("demo_heatmap.ppm").write_text(ppm_text)
 

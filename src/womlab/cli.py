@@ -16,9 +16,9 @@ from .generators import (MODEL_IDS, FfParams, GenerationError, SiiParams, WsPara
                          default_params, generate_validated)
 from .graph import compute_metrics
 from .model import (AWARENESS_NAMES, EXPERTISE_NAMES, STATE_COMBOS, SimConfig, run)
-from .reporting import (METRICS_HEADER, CsvFormatError, metrics_csv_row, panels,
-                        read_graphml, read_records_csv, records_csv_string,
-                        render_heatmap, write_graphml, write_records_csv)
+from .reporting import (METRICS_HEADER, CsvFormatError, metrics_csv_row, read_graphml,
+                        read_records_csv, records_csv_string, render_heatmap,
+                        write_graphml, write_records_csv)
 from .sweep import SweepGrid, aggregate, run_record, run_sweep
 
 EXIT_OK = 0
@@ -88,7 +88,7 @@ def _add_sim_flags(parser: _Parser) -> None:
 
 def _comma_floats(text: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",") if part != ""]
+        return [float(part) for part in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
 
@@ -180,14 +180,14 @@ def cmd_simulate(args) -> int:
                     seed=args.seed)
     result = run(graph, cfg)
     record = run_record("file", 0, cfg, result, compute_metrics(graph))
-    sys.stdout.write(records_csv_string([record]))
-    if args.trace:
+    if args.trace:  # before the record is printed, so a failed write prints nothing
         header = "round," + ",".join(
             f"{AWARENESS_NAMES[aw]}_{EXPERTISE_NAMES[ex]}" for aw, ex in STATE_COMBOS)
         lines = [header]
         lines.extend(f"{i}," + ",".join(str(c) for c in row)
                      for i, row in enumerate(result.time_series))
         Path(args.trace).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    sys.stdout.write(records_csv_string([record]))
     return EXIT_OK
 
 
@@ -212,13 +212,13 @@ def cmd_report(args) -> int:
     if not records:
         raise CsvFormatError("records CSV contains no rows")
     # Render every panel before writing any, so a bad panel leaves no output.
-    rendered, owners = {}, {}
-    for (model, k, supporters), panel in panels(aggregate(records)):
-        stem = f"heatmap_{model}_k{k:g}_s{supporters:g}"
-        owner = f"{model} k={k!r} supporters={supporters!r}"
-        if owners.setdefault(stem, owner) != owner:  # :g can print two panels alike
-            raise ValueError(f"panels {owners[stem]} and {owner} would both write {stem}")
-        rendered[stem] = render_heatmap(panel)
+    rendered = {}
+    for (model, k, supporters), cells in aggregate(records):
+        # On [0, 1], :g names distinct 6-decimal texts apart; beyond, it may not.
+        if not (0.0 <= float(k) <= 1.0 and 0.0 <= float(supporters) <= 1.0):
+            raise ValueError(f"panel {model} k={k} supporters={supporters} lies outside [0, 1]")
+        stem = f"heatmap_{model}_k{float(k):g}_s{float(supporters):g}"
+        rendered[stem] = render_heatmap(cells)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for stem, (csv_text, ppm_text) in rendered.items():

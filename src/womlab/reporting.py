@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .generators import MODEL_IDS
 from .graph import Graph, GraphMetrics, build_graph
-from .sweep import CellSummary, RunRecord, cell_key, fmt6
+from .sweep import RunRecord, fmt6
 
 RECORDS_HEADER = ("network_model,network_seed,sim_seed,k,curious,enthusiastic,"
                   "supporters,final_aware,final_both,rounds,hit_max_rounds,"
@@ -37,7 +37,7 @@ class CsvFormatError(ValueError):
 
 
 class HeatmapError(ValueError):
-    """Summaries do not form one complete rectangular panel."""
+    """Cells do not form one complete rectangular panel."""
 
 
 def _fmt_opt(x) -> str:
@@ -99,6 +99,8 @@ def _parse_graphml(data: bytes):
             target = attrs.get("target")
             if source is None or target is None:
                 raise GraphMLError(f"<edge> without source/target (line {line})")
+            if attrs.get("directed") == "true":
+                raise GraphMLError(f"directed edges are not supported (line {line})")
             edges.append((source, target, line))
         elif local in ("hyperedge", "port"):
             raise GraphMLError(f"unsupported GraphML feature <{local}> (line {line})")
@@ -123,9 +125,9 @@ def read_graphml(source) -> Graph:
     """Parse the undirected GraphML subset back into a graph.
 
     Arbitrary node ids are remapped onto dense integers in document
-    order.  Edges referencing undeclared nodes, self-loops and directed
-    graphs are rejected with their line number; duplicate undirected
-    edges collapse silently.
+    order.  Edges referencing undeclared nodes, self-loops, directed
+    edges and directed graphs are rejected with their line number;
+    duplicate undirected edges collapse silently.
     """
     data = Path(source).read_bytes()
     node_index, raw_edges = _parse_graphml(data)
@@ -227,30 +229,20 @@ def _heat_color(v: float) -> tuple[int, int, int]:
     return (int(255 * v + 0.5), int(255 * v + 0.5), int(64 + 191 * v + 0.5))
 
 
-def render_heatmap(panel: list[CellSummary]) -> tuple[str, str]:
-    """Render one (network_model, k, supporters) panel's summaries, as
-    ``panels`` yields them.
+def render_heatmap(cells: dict[tuple[str, str], float]) -> tuple[str, str]:
+    """Render one panel's cells, as ``aggregate`` returns them: the mean
+    final share holding awareness and expertise per (curious,
+    enthusiastic) text pair.
 
     Returns ``(csv_text, ppm_text)``.  The CSV matrix has curious values
     as columns and enthusiastic values as rows (ascending downward); the
     PPM image puts low enthusiastic at the bottom, like a plot, with one
-    ``HEATMAP_CELL_PX`` square block per cell.  Cell values are
-    mean_final_both mapped linearly from dark (0) to bright (1); every
-    missing grid cell is reported, and summaries of more than one panel
-    are rejected.
+    ``HEATMAP_CELL_PX`` square block per cell.  Cell values are mapped
+    linearly from dark (0) to bright (1); every missing grid cell is
+    reported.
     """
-    if not panel:
-        raise HeatmapError("no summaries for the panel")
-    panel_id = cell_key(panel[0])[:3]
-    cells = {}
-    for s in panel:
-        cell = cell_key(s)
-        if cell[:3] != panel_id:
-            raise HeatmapError(f"summaries span more than one panel: {panel_id} and {cell[:3]}")
-        key = cell[3:]
-        if key in cells:
-            raise HeatmapError(f"duplicate cell curious={key[0]} enthusiastic={key[1]}")
-        cells[key] = s
+    if not cells:
+        raise HeatmapError("no cells in the panel")
     curious_axis = sorted({c for c, _ in cells}, key=float)
     enth_axis = sorted({e for _, e in cells}, key=float)
     holes = [(c, e) for c in curious_axis for e in enth_axis if (c, e) not in cells]
@@ -259,39 +251,22 @@ def render_heatmap(panel: list[CellSummary]) -> tuple[str, str]:
         more = "" if len(holes) <= 20 else f" and {len(holes) - 20} more"
         raise HeatmapError(f"incomplete panel, missing cells: {listing}{more}")
 
-    values = {key: s.mean_final_both for key, s in cells.items()}
-    if any(not 0.0 <= v <= 1.0 for v in values.values()):
+    if any(not 0.0 <= v <= 1.0 for v in cells.values()):
         raise HeatmapError("cell values must lie in [0, 1]")
 
     csv_lines = ["enthusiastic," + ",".join(curious_axis)]
     for e in enth_axis:
-        csv_lines.append(e + "," + ",".join(fmt6(values[(c, e)]) for c in curious_axis))
+        csv_lines.append(e + "," + ",".join(fmt6(cells[(c, e)]) for c in curious_axis))
     csv_text = "\n".join(csv_lines) + "\n"
 
     width = len(curious_axis) * HEATMAP_CELL_PX
     height = len(enth_axis) * HEATMAP_CELL_PX
     ppm_lines = ["P3", f"{width} {height}", "255"]
     for e in reversed(enth_axis):
-        row_colors = [_heat_color(values[(c, e)]) for c in curious_axis]
+        row_colors = [_heat_color(cells[(c, e)]) for c in curious_axis]
         # One image row's text, repeated for each pixel row of the block.
         pixel_row = "\n".join([f"{r} {g} {b}" for (r, g, b) in row_colors
                                for _ in range(HEATMAP_CELL_PX)])
         ppm_lines.extend([pixel_row] * HEATMAP_CELL_PX)
     ppm_text = "\n".join(ppm_lines) + "\n"
     return csv_text, ppm_text
-
-
-def panels(summaries: list[CellSummary]
-           ) -> list[tuple[tuple[str, float, float], list[CellSummary]]]:
-    """The summaries grouped by (network_model, k, supporters) panel, as
-    ``((network_model, k, supporters), panel_summaries)`` pairs in sorted
-    panel order.
-
-    Panels are told apart by ``cell_key``; a panel keeps its summaries in
-    input order and takes its key's values from the last of them.
-    """
-    groups: dict[tuple, list[CellSummary]] = {}
-    for s in summaries:
-        groups.setdefault(cell_key(s)[:3], []).append(s)
-    return [((group[-1].network_model, group[-1].k, group[-1].supporters), group)
-            for _, group in sorted(groups.items())]

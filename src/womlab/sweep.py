@@ -116,18 +116,6 @@ class RunRecord:
     diameter: int | None
 
 
-@dataclass(frozen=True)
-class CellSummary:
-    """One grid cell's mean final share holding awareness and expertise."""
-
-    network_model: str
-    k: float
-    supporters: float
-    curious: float
-    enthusiastic: float
-    mean_final_both: float
-
-
 def enumerate_cells(grid: SweepGrid) -> list[RunSpec]:
     """Schedule all runs in lexicographic (k, supporters, curious,
     enthusiastic, replicate) order.
@@ -235,21 +223,24 @@ def fmt6(x: float) -> str:
     return f"{x:.6f}"
 
 
-def cell_key(cell: RunRecord | CellSummary) -> tuple[str, str, str, str, str]:
-    """Identity of a record's or summary's grid cell: the model, then
-    k, supporters, curious and enthusiastic as ``fmt6`` writes them, so
-    values that print alike fall into one cell."""
-    return (cell.network_model, fmt6(cell.k), fmt6(cell.supporters),
-            fmt6(cell.curious), fmt6(cell.enthusiastic))
+def cell_key(record: RunRecord) -> tuple[str, str, str, str, str]:
+    """Identity of a record's grid cell: the model, then k, supporters,
+    curious and enthusiastic as ``fmt6`` writes them, so values that
+    print alike fall into one cell."""
+    return (record.network_model, fmt6(record.k), fmt6(record.supporters),
+            fmt6(record.curious), fmt6(record.enthusiastic))
 
 
-def aggregate(records: list[RunRecord]) -> list[CellSummary]:
-    """Collapse records into one summary per cell: the mean of ``final_both``.
+def aggregate(records: list[RunRecord]
+              ) -> list[tuple[tuple[str, str, str], dict[tuple[str, str], float]]]:
+    """Collapse records into heatmap panels of per-cell means of ``final_both``.
 
-    A cell is what ``cell_key`` names, so records whose values print
-    alike fall into one cell; ``cell_key`` runs once per distinct value
-    tuple.  Each cell's sum runs over its records in input order, and its
-    summary takes the cell values of its first record.  Requires complete
+    Returns ``((network_model, k, supporters), {(curious, enthusiastic):
+    mean_final_both})`` pairs in sorted panel order, each panel's cells in
+    sorted order, every key part as ``cell_key`` writes it.  A cell is
+    what ``cell_key`` names, so records whose values print alike fall
+    into one cell; ``cell_key`` runs once per distinct value tuple.  Each
+    cell's sum runs over its records in input order.  Requires complete
     cells: all cells must hold the same number of replicates.
     """
     groups: dict[tuple, list[RunRecord]] = {}
@@ -264,21 +255,11 @@ def aggregate(records: list[RunRecord]) -> list[CellSummary]:
         if group is None:
             group = by_values[values] = groups.setdefault(cell_key(record), [])
         group.append(record)
-    if not groups:
-        return []
     sizes = {len(g) for g in groups.values()}
-    if len(sizes) != 1:
+    if len(sizes) > 1:
         raise SweepError(f"ragged cells: replicate counts {sorted(sizes)} differ")
-    summaries = []
-    for group in groups.values():
-        first = group[0]
-        summaries.append(CellSummary(
-            network_model=first.network_model,
-            k=first.k,
-            supporters=first.supporters,
-            curious=first.curious,
-            enthusiastic=first.enthusiastic,
-            mean_final_both=sum(r.final_both for r in group) / len(group),
-        ))
-    summaries.sort(key=lambda s: (s.network_model, s.k, s.supporters, s.curious, s.enthusiastic))
-    return summaries
+    panels: dict[tuple[str, str, str], dict[tuple[str, str], float]] = {}
+    for key in sorted(groups):
+        group = groups[key]
+        panels.setdefault(key[:3], {})[key[3:]] = sum(r.final_both for r in group) / len(group)
+    return list(panels.items())

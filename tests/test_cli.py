@@ -183,6 +183,14 @@ def test_simulate_deterministic_output(ws_file, capsys):
     assert out1 == out2
 
 
+def test_simulate_unwritable_trace_prints_nothing(ws_file, tmp_path, capsys):
+    code, out, err = run_cli(capsys, "simulate", "--network", str(ws_file),
+                             "--k", "0.05", "--curious", "0.4", "--enthusiastic", "0.4",
+                             "--supporters", "0", "--trace", str(tmp_path / "no" / "t.csv"))
+    assert code == EXIT_RUNTIME
+    assert out == "" and err.startswith("womlab: error:")
+
+
 def test_simulate_missing_network(tmp_path, capsys):
     code, _, err = run_cli(capsys, "simulate", "--network", str(tmp_path / "no.graphml"),
                            "--k", "0", "--curious", "0", "--enthusiastic", "0",
@@ -384,8 +392,8 @@ def test_report_bad_later_panel_writes_nothing(tmp_path, capsys):
     assert stdout == "" and list(out_dir.glob("heatmap_*")) == []
 
 
-def test_report_panels_that_share_a_file_name_exit_2_and_write_nothing(tmp_path, capsys):
-    # cell_key tells k = 0.012345 from 0.012346; both print as k0.0123455.
+def test_report_names_each_file_after_its_six_decimal_panel(tmp_path, capsys):
+    # Both k values print as 0.0123455 under :g, but as distinct 6-decimal panels.
     csv_path = tmp_path / "records.csv"
     write_records_csv([record(0.5)], csv_path)
     header, row = csv_path.read_text().splitlines()
@@ -393,11 +401,27 @@ def test_report_panels_that_share_a_file_name_exit_2_and_write_nothing(tmp_path,
     rows = [",".join(fields[:3] + [k] + fields[4:]) for k in ("0.01234549", "0.01234551")]
     csv_path.write_text("\n".join([header, *rows]) + "\n")
     out_dir = tmp_path / "heat"
+    code, stdout, _ = run_cli(capsys, "report", "--in", str(csv_path),
+                              "--out-dir", str(out_dir))
+    assert code == EXIT_OK
+    stems = ["heatmap_ws_k0.012345_s0", "heatmap_ws_k0.012346_s0"]
+    assert stdout == "".join(f"{s}.csv {s}.ppm\n" for s in stems)
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+        f"{s}.{ext}" for s in stems for ext in ("csv", "ppm"))
+
+
+@pytest.mark.parametrize("field,value", [("k", 10.000001), ("supporters", -0.5),
+                                         ("k", float("nan"))])
+def test_report_panel_outside_unit_interval_exits_2_and_writes_nothing(tmp_path, capsys,
+                                                                      field, value):
+    # Beyond [0, 1] :g can name two panels alike: 10.000001 and 10.000002 both as k10.
+    csv_path = tmp_path / "records.csv"
+    write_records_csv([record(0.5), record(0.5, **{field: value})], csv_path)
+    out_dir = tmp_path / "heat"
     code, stdout, err = run_cli(capsys, "report", "--in", str(csv_path),
                                 "--out-dir", str(out_dir))
     assert code == EXIT_RUNTIME
-    assert err == ("womlab: error: panels ws k=0.01234549 supporters=0.0 and "
-                   "ws k=0.01234551 supporters=0.0 would both write heatmap_ws_k0.0123455_s0\n")
+    assert err.startswith("womlab: error: panel ws k=") and "outside [0, 1]" in err
     assert stdout == "" and not out_dir.exists()
 
 
@@ -448,6 +472,17 @@ def test_sweep_unparsable_axis_value_usage_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "sweep", "--model", "ws", "--k", "0.1,x", "--out", str(out))
     assert code == EXIT_USAGE
     assert "not a comma-separated float list: '0.1,x'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0.1,,0.5", "0.1,", ""])
+def test_sweep_empty_axis_item_usage_error(tmp_path, capsys, value):
+    out = tmp_path / "r.csv"
+    code, _, err = run_cli(capsys, "sweep", "--model", "ws", "--n", "60", "--curious", "0.2",
+                           "--enthusiastic", "0.2", "--supporters", "0", "--reps", "1",
+                           "--k", value, "--out", str(out))
+    assert code == EXIT_USAGE
+    assert f"not a comma-separated float list: {value!r}" in err
     assert not out.exists()
 
 

@@ -8,10 +8,10 @@ import pytest
 from womlab.generators import FfParams, SiiParams, WsParams, generate
 from womlab.graph import build_graph
 from womlab.reporting import (HEATMAP_CELL_PX, GraphMLError, CsvFormatError,
-                              HeatmapError, RECORDS_HEADER, graphml_string, panels,
+                              HeatmapError, RECORDS_HEADER, graphml_string,
                               read_graphml, read_records_csv, records_csv_string,
                               render_heatmap, write_graphml, write_records_csv)
-from womlab.sweep import CellSummary, RunRecord, SweepGrid, aggregate, run_sweep
+from womlab.sweep import RunRecord, SweepGrid, aggregate, run_sweep
 from test_sweep import record, small_grid
 
 
@@ -147,8 +147,11 @@ def test_graphml_rejects_duplicate_node_id(tmp_path):
     ('<graph edgedefault="undirected">\n<node id="n0">\n<port name="p"/>\n</node>\n</graph>',
      r"unsupported GraphML feature <port> \(line 4\)"),
     ('<key id="d0" for="node"/>', r"^no <graph> element found$"),
+    ('<graph edgedefault="undirected">\n<node id="a"/>\n<node id="b"/>\n'
+     '<edge source="a" target="b" directed="true"/>\n</graph>',
+     r"directed edges are not supported \(line 5\)"),
 ], ids=["nested-graph", "repeated-graph", "node-without-id", "edge-without-target",
-        "edge-without-source", "hyperedge", "port", "no-graph"])
+        "edge-without-source", "hyperedge", "port", "no-graph", "directed-edge"])
 def test_graphml_rejects_unsupported_structure(tmp_path, body, message):
     path = tmp_path / "bad.graphml"
     path.write_text(f'<graphml xmlns="http://graphml.graphdrawing.org/xmlns">\n{body}\n'
@@ -188,11 +191,11 @@ def test_records_csv_round_trip(tmp_path):
         assert a.final_both == pytest.approx(b.final_both, abs=1e-6)
         assert a.rounds == b.rounds and a.diameter == b.diameter
     # aggregation over the re-read records matches the original aggregation
-    orig = aggregate(records)
-    reread = aggregate(back)
-    assert len(orig) == len(reread)
-    for x, y in zip(orig, reread):
-        assert x.mean_final_both == pytest.approx(y.mean_final_both, abs=1e-6)
+    [(panel, orig)] = aggregate(records)
+    [(reread_panel, reread)] = aggregate(back)
+    assert reread_panel == panel and list(reread) == list(orig)
+    for cell, mean in orig.items():
+        assert reread[cell] == pytest.approx(mean, abs=1e-6)
 
 
 def test_run_record_fields_are_the_records_header_in_order():
@@ -272,15 +275,9 @@ def test_csv_byte_stability():
 # -- heatmaps -----------------------------------------------------------------
 
 
-def summary(curious, enthusiastic, value, model="ws", k=0.01, supporters=0.0):
-    return CellSummary(network_model=model, k=k, supporters=supporters,
-                       curious=curious, enthusiastic=enthusiastic,
-                       mean_final_both=value)
-
-
-def grid_summaries(values):
-    # values[(c_idx, e_idx)] on a 2x2 grid with coordinates {0, 1}
-    return [summary(c, e, values[(c, e)]) for c in (0.0, 1.0) for e in (0.0, 1.0)]
+def grid_cells(values):
+    # values[(curious, enthusiastic)] on a 2x2 grid with coordinates {0, 1}
+    return {(f"{c:.6f}", f"{e:.6f}"): values[(c, e)] for c in (0.0, 1.0) for e in (0.0, 1.0)}
 
 
 def pixel_rows(*cell_colors):
@@ -290,7 +287,7 @@ def pixel_rows(*cell_colors):
 
 def test_heatmap_uniform_dark():
     csv_text, ppm_text = render_heatmap(
-        grid_summaries({(c, e): 0.0 for c in (0.0, 1.0) for e in (0.0, 1.0)}))
+        grid_cells({(c, e): 0.0 for c in (0.0, 1.0) for e in (0.0, 1.0)}))
     assert csv_text.splitlines()[1:] == ["0.000000,0.000000,0.000000",
                                          "1.000000,0.000000,0.000000"]
     pixels = ppm_text.splitlines()[3:]
@@ -299,13 +296,13 @@ def test_heatmap_uniform_dark():
 
 def test_heatmap_uniform_bright():
     _, ppm_text = render_heatmap(
-        grid_summaries({(c, e): 1.0 for c in (0.0, 1.0) for e in (0.0, 1.0)}))
+        grid_cells({(c, e): 1.0 for c in (0.0, 1.0) for e in (0.0, 1.0)}))
     assert ppm_text.splitlines()[3:] == ["255 255 255"] * (4 * HEATMAP_CELL_PX ** 2)
 
 
 def test_heatmap_2x2_distinct_blocks():
     values = {(0.0, 0.0): 0.0, (1.0, 0.0): 1.0, (0.0, 1.0): 0.5, (1.0, 1.0): 0.5}
-    csv_text, ppm_text = render_heatmap(grid_summaries(values))
+    csv_text, ppm_text = render_heatmap(grid_cells(values))
     side = 2 * HEATMAP_CELL_PX
     assert ppm_text == "\n".join([
         "P3", f"{side} {side}", "255",
@@ -322,8 +319,8 @@ def test_heatmap_2x2_distinct_blocks():
 
 def test_heatmap_block_size():
     values = {(0.0, 0.0): 0.0, (1.0, 0.0): 1.0, (0.0, 1.0): 0.5, (1.0, 1.0): 0.5}
-    summaries = grid_summaries(values) + [summary(0.5, e, 0.25) for e in (0.0, 1.0)]
-    _, ppm_text = render_heatmap(summaries)
+    cells = grid_cells(values) | {("0.500000", f"{e:.6f}"): 0.25 for e in (0.0, 1.0)}
+    _, ppm_text = render_heatmap(cells)
     lines = ppm_text.splitlines()
     assert lines[1] == f"{3 * HEATMAP_CELL_PX} {2 * HEATMAP_CELL_PX}"
     assert len(lines) == 3 + 6 * HEATMAP_CELL_PX ** 2
@@ -331,58 +328,39 @@ def test_heatmap_block_size():
 
 def test_heatmap_missing_cells_listed():
     values = {(0.0, 0.0): 0.0, (1.0, 0.0): 1.0, (0.0, 1.0): 0.5, (1.0, 1.0): 0.5}
-    summaries = grid_summaries(values)[:-1]
-    with pytest.raises(HeatmapError, match="missing cells"):
-        render_heatmap(summaries)
+    cells = grid_cells(values)
+    del cells[("1.000000", "1.000000")]
+    with pytest.raises(HeatmapError, match=r"missing cells: \(curious=1.000000, "
+                                           r"enthusiastic=1.000000\)$"):
+        render_heatmap(cells)
 
 
 def test_heatmap_empty_panel():
-    with pytest.raises(HeatmapError, match="no summaries"):
-        render_heatmap([])
-
-
-def test_heatmap_duplicate_cell():
-    values = {(0.0, 0.0): 0.0, (1.0, 0.0): 1.0, (0.0, 1.0): 0.5, (1.0, 1.0): 0.5}
-    summaries = grid_summaries(values) + [summary(1.0, 1.0 + 1e-12, 0.5)]
-    with pytest.raises(HeatmapError, match="duplicate cell"):
-        render_heatmap(summaries)
+    with pytest.raises(HeatmapError, match="no cells"):
+        render_heatmap({})
 
 
 def test_heatmap_value_out_of_range():
     values = {(0.0, 0.0): 0.0, (1.0, 0.0): 1.0, (0.0, 1.0): 0.5, (1.0, 1.0): 1.5}
     with pytest.raises(HeatmapError, match=r"\[0, 1\]"):
-        render_heatmap(grid_summaries(values))
+        render_heatmap(grid_cells(values))
 
 
 def test_heatmap_byte_stable():
     values = {(0.0, 0.0): 0.123456, (1.0, 0.0): 1.0, (0.0, 1.0): 0.5, (1.0, 1.0): 0.5}
-    out1 = render_heatmap(grid_summaries(values))
-    out2 = render_heatmap(grid_summaries(values))
+    out1 = render_heatmap(grid_cells(values))
+    out2 = render_heatmap(grid_cells(values))
     assert out1 == out2
 
 
-def test_heatmap_rejects_mixed_panels():
-    values = {(0.0, 0.0): 0.1, (1.0, 0.0): 0.9, (0.0, 1.0): 0.5, (1.0, 1.0): 0.3}
-    panel = grid_summaries(values)
-    for model, k, supporters in (("ff", 0.01, 0.0), ("ws", 0.5, 0.0), ("ws", 0.01, 0.1)):
-        other = summary(0.5, 0.5, 0.7, model=model, k=k, supporters=supporters)
-        with pytest.raises(HeatmapError, match="more than one panel"):
-            render_heatmap(panel + [other])
-    # A k that prints alike at 6 decimals is the same panel.
-    alike = [dataclasses.replace(s, k=0.01 + 1e-12) for s in panel[2:]]
-    assert render_heatmap(panel[:2] + alike) == render_heatmap(panel)
-
-
 def test_panel_keys_sorted_distinct():
-    summaries = [summary(0.0, 0.0, 0.1, model=m, k=k, supporters=s)
-                 for m, k, s in itertools.product(("ws", "ff"), (0.01, 0.5), (0.0, 0.1))]
+    records = [record(0.1, network_model=m, k=k, supporters=s)
+               for m, k, s in itertools.product(("ws", "ff"), (0.01, 0.5), (0.0, 0.1))]
     # Two k values that print alike share a panel.
-    summaries.append(summary(1.0, 0.0, 0.2, model="ff", k=0.5 + 1e-12, supporters=0.1))
-    grouped = panels(summaries)
+    records.append(record(0.2, network_model="ff", k=0.5 + 1e-12, supporters=0.1, curious=1.0))
+    grouped = aggregate(records)
     keys = [key for key, _ in grouped]
     assert len(keys) == 8
     assert keys == sorted(keys)
-    for (model, k, supporters), panel in grouped:
-        assert {(s.network_model, f"{s.k:.6f}", s.supporters) for s in panel} == {
-            (model, f"{k:.6f}", supporters)}
-    assert grouped[3] == (("ff", 0.5 + 1e-12, 0.1), summaries[7:])
+    assert grouped[3] == (("ff", "0.500000", "0.100000"),
+                          {("0.500000", "0.500000"): 0.1, ("1.000000", "0.500000"): 0.2})

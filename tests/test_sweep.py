@@ -1,14 +1,14 @@
 """Sweep enumeration, execution determinism and aggregation."""
 
 import concurrent.futures.process
+import dataclasses
 
 import pytest
 
 import womlab.sweep
 from womlab.generators import GenerationError, SiiParams, WsParams, generate_validated
-from womlab.sweep import (SIM_SEED_XOR, CellSummary, RunRecord, SweepError,
-                          SweepGrid, aggregate, enumerate_cells, execute_run,
-                          run_sweep)
+from womlab.sweep import (SIM_SEED_XOR, RunRecord, SweepError, SweepGrid, aggregate,
+                          enumerate_cells, execute_run, run_sweep)
 
 SMALL_WS = WsParams(n=80, nei=3, p_rewire=0.1)
 
@@ -218,21 +218,26 @@ def test_execute_run_is_pure():
 # -- aggregation ------------------------------------------------------------------
 
 
+# The panel and cell of ``record``'s defaults, as aggregate keys them.
+WS_PANEL = ("ws", "0.100000", "0.000000")
+MID_CELL = ("0.500000", "0.500000")
+
+
 def test_aggregate_mean():
     records = [record(0.5), record(0.5, sim_seed=2)]
-    [summary] = aggregate(records)
-    assert summary.mean_final_both == pytest.approx(0.5)
+    [(panel, cells)] = aggregate(records)
+    assert panel == WS_PANEL
+    assert cells == {MID_CELL: pytest.approx(0.5)}
 
 
 def test_aggregate_mean_of_distinct_values():
     records = [record(0.0), record(1.0, sim_seed=2)]
-    [summary] = aggregate(records)
-    assert summary.mean_final_both == pytest.approx(0.5)
+    [(_, cells)] = aggregate(records)
+    assert cells == {MID_CELL: pytest.approx(0.5)}
 
 
 def test_aggregate_single_record():
-    [summary] = aggregate([record(0.7)])
-    assert summary.mean_final_both == 0.7
+    assert aggregate([record(0.7)]) == [(WS_PANEL, {MID_CELL: 0.7})]
 
 
 def test_aggregate_empty():
@@ -248,10 +253,10 @@ def test_aggregate_ragged_groups_error():
 def test_aggregate_groups_by_model_and_cell():
     records = [record(0.2), record(0.4, sim_seed=2),
                record(0.6, network_model="ff"), record(0.8, network_model="ff", sim_seed=2)]
-    summaries = aggregate(records)
-    assert [s.network_model for s in summaries] == ["ff", "ws"]
-    assert summaries[0].mean_final_both == pytest.approx(0.7)
-    assert summaries[1].mean_final_both == pytest.approx(0.3)
+    (ff_panel, ff_cells), (ws_panel, ws_cells) = aggregate(records)
+    assert (ff_panel[0], ws_panel) == ("ff", WS_PANEL)
+    assert ff_cells == {MID_CELL: pytest.approx(0.7)}
+    assert ws_cells == {MID_CELL: pytest.approx(0.3)}
 
 
 def test_aggregate_cell_identity_and_input_order():
@@ -262,19 +267,19 @@ def test_aggregate_cell_identity_and_input_order():
     for i, (a, b) in enumerate(zip(a_values, b_values)):
         records.append(record(a, k=0.1 + (1e-12 if i % 2 else 0.0), sim_seed=2 * i))
         records.append(record(b, curious=0.9, sim_seed=2 * i + 1))
-    cell_a, cell_b = aggregate(records)
-    assert (cell_a.k, cell_a.curious, cell_b.curious) == (0.1, 0.5, 0.9)
-    assert cell_a.mean_final_both == sum(a_values) / 3
-    assert cell_b.mean_final_both == sum(b_values) / 3
+    [(panel, cells)] = aggregate(records)
+    assert panel == WS_PANEL
+    assert cells == {MID_CELL: sum(a_values) / 3,
+                     ("0.900000", "0.500000"): sum(b_values) / 3}
 
 
 def test_aggregate_keeps_signed_zeros_apart():
     # 0.0 == -0.0, but they print differently, so cell_key splits them.
     records = [record(0.2, curious=0.0), record(0.4, curious=-0.0),
                record(0.6, curious=0.0, sim_seed=2), record(0.8, curious=-0.0, sim_seed=2)]
-    summaries = aggregate(records)
-    assert [(str(s.curious), s.mean_final_both) for s in summaries] == [
-        ("0.0", (0.2 + 0.6) / 2), ("-0.0", (0.4 + 0.8) / 2)]
+    [(_, cells)] = aggregate(records)
+    assert cells == {("0.000000", "0.500000"): (0.2 + 0.6) / 2,
+                     ("-0.000000", "0.500000"): (0.4 + 0.8) / 2}
 
 
 def test_aggregate_output_sorted():
@@ -285,7 +290,15 @@ def test_aggregate_output_sorted():
             for rep in range(2):
                 seed += 1
                 records.append(record(0.5, k=k, curious=cur, sim_seed=seed))
-    summaries = aggregate(records)
-    keys = [(s.network_model, s.k, s.supporters, s.curious, s.enthusiastic)
-            for s in summaries]
-    assert keys == sorted(keys)
+    panels = aggregate(records)
+    assert [panel for panel, _ in panels] == [("ws", "0.010000", "0.000000"),
+                                              ("ws", "0.500000", "0.000000")]
+    for _, cells in panels:
+        assert list(cells) == [("0.000000", "0.500000"), ("1.000000", "0.500000")]
+
+
+def test_aggregate_k_that_prints_alike_is_one_panel():
+    records = [record(0.1 * i, curious=c, enthusiastic=e, sim_seed=i)
+               for i, (c, e) in enumerate([(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)])]
+    alike = records[:2] + [dataclasses.replace(r, k=0.1 + 1e-12) for r in records[2:]]
+    assert aggregate(alike) == aggregate(records)
