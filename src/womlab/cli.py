@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 from .generators import (MODEL_IDS, FfParams, GenerationError, SiiParams, WsParams,
                          default_params, generate_validated)
 from .graph import compute_metrics
 from .model import (AWARENESS_NAMES, EXPERTISE_NAMES, STATE_COMBOS, SimConfig, run)
-from .reporting import (METRICS_HEADER, CsvFormatError, metrics_csv_row, read_graphml,
+from .reporting import (METRICS_HEADER, CsvFormatError, csv_row, read_graphml,
                         read_records_csv, records_csv_string, render_heatmap,
                         write_graphml, write_records_csv)
 from .sweep import SweepGrid, aggregate, run_record, run_sweep
@@ -160,14 +161,14 @@ def cmd_generate(args) -> int:
     params = _model_params(args)
     graph, metrics, _ = generate_validated(args.model, params, args.seed, args.max_retries)
     write_graphml(graph, args.out)
-    print(metrics_csv_row(metrics))
+    print(csv_row(astuple(metrics)))  # GraphMetrics' fields are in METRICS_HEADER order
     return EXIT_OK
 
 
 def cmd_metrics(args) -> int:
     graph = read_graphml(args.infile)
     print(METRICS_HEADER)
-    print(metrics_csv_row(compute_metrics(graph)))
+    print(csv_row(astuple(compute_metrics(graph))))
     return EXIT_OK
 
 
@@ -181,11 +182,9 @@ def cmd_simulate(args) -> int:
     result = run(graph, cfg)
     record = run_record("file", 0, cfg, result, compute_metrics(graph))
     if args.trace:  # before the record is printed, so a failed write prints nothing
-        header = "round," + ",".join(
-            f"{AWARENESS_NAMES[aw]}_{EXPERTISE_NAMES[ex]}" for aw, ex in STATE_COMBOS)
-        lines = [header]
-        lines.extend(f"{i}," + ",".join(str(c) for c in row)
-                     for i, row in enumerate(result.time_series))
+        lines = [csv_row(("round", *(f"{AWARENESS_NAMES[aw]}_{EXPERTISE_NAMES[ex]}"
+                                     for aw, ex in STATE_COMBOS)))]
+        lines.extend(csv_row((i, *row)) for i, row in enumerate(result.time_series))
         Path(args.trace).write_text("\n".join(lines) + "\n", encoding="utf-8")
     sys.stdout.write(records_csv_string([record]))
     return EXIT_OK
@@ -214,9 +213,8 @@ def cmd_report(args) -> int:
     # Render every panel before writing any, so a bad panel leaves no output.
     rendered = {}
     for (model, k, supporters), cells in aggregate(records):
-        # On [0, 1], :g names distinct 6-decimal texts apart; beyond, it may not.
-        if not (0.0 <= float(k) <= 1.0 and 0.0 <= float(supporters) <= 1.0):
-            raise ValueError(f"panel {model} k={k} supporters={supporters} lies outside [0, 1]")
+        # aggregate keeps k and supporters on [0, 1], where :g names distinct
+        # 6-decimal texts apart; beyond, it may not.
         stem = f"heatmap_{model}_k{float(k):g}_s{float(supporters):g}"
         rendered[stem] = render_heatmap(cells)
     out_dir = Path(args.out_dir)

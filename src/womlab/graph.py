@@ -217,8 +217,6 @@ def global_clustering(g: Graph) -> float:
     fresh pages.
     """
     n = g.node_count
-    if n == 0 or g.edge_count == 0:
-        return 0.0
     deg = np.diff(g._indptr)
     triples2 = int((deg * (deg - 1)).sum())  # 2 * connected triples
     if triples2 == 0:

@@ -13,15 +13,16 @@ any graphics dependency.
 from __future__ import annotations
 
 import xml.parsers.expat
+from dataclasses import fields
+from operator import attrgetter
 from pathlib import Path
 
 from .generators import MODEL_IDS
-from .graph import Graph, GraphMetrics, build_graph
+from .graph import Graph, build_graph
 from .sweep import RunRecord, fmt6
 
-RECORDS_HEADER = ("network_model,network_seed,sim_seed,k,curious,enthusiastic,"
-                  "supporters,final_aware,final_both,rounds,hit_max_rounds,"
-                  "nodes,edges,density,avg_path_length,clustering,diameter")
+RECORDS_HEADER = ",".join(f.name for f in fields(RunRecord))
+_record_values = attrgetter(*RECORDS_HEADER.split(","))
 METRICS_HEADER = "nodes,edges,density,avg_path_length,clustering,diameter,connected"
 
 # One heatmap cell is rendered as a square block of this many pixels.
@@ -40,8 +41,16 @@ class HeatmapError(ValueError):
     """Cells do not form one complete rectangular panel."""
 
 
-def _fmt_opt(x) -> str:
+def _csv_value(x) -> str:
+    if isinstance(x, bool):  # first, since a bool is also an int
+        return "true" if x else "false"
     return "NA" if x is None else (fmt6(x) if isinstance(x, float) else str(x))
+
+
+def csv_row(values) -> str:
+    """One CSV row (no newline), as every CSV output writes it: reals
+    with 6 decimals, ``None`` as ``NA``, booleans as ``true``/``false``."""
+    return ",".join(map(_csv_value, values))
 
 
 # -- GraphML ---------------------------------------------------------------
@@ -148,27 +157,8 @@ def read_graphml(source) -> Graph:
 # -- metrics / records CSV ------------------------------------------------------
 
 
-def metrics_csv_row(m: GraphMetrics) -> str:
-    """One ``METRICS_HEADER`` row (no newline)."""
-    return ",".join([
-        str(m.node_count), str(m.edge_count), fmt6(m.density),
-        _fmt_opt(m.avg_path_length), fmt6(m.global_clustering), _fmt_opt(m.diameter),
-        "true" if m.connected else "false",
-    ])
-
-
 def records_csv_string(records: list[RunRecord]) -> str:
-    rows = [RECORDS_HEADER]
-    for r in records:
-        rows.append(",".join([
-            r.network_model, str(r.network_seed), str(r.sim_seed),
-            fmt6(r.k), fmt6(r.curious), fmt6(r.enthusiastic), fmt6(r.supporters),
-            fmt6(r.final_aware), fmt6(r.final_both), str(r.rounds),
-            "true" if r.hit_max_rounds else "false",
-            str(r.nodes), str(r.edges), fmt6(r.density),
-            _fmt_opt(r.avg_path_length), fmt6(r.clustering), _fmt_opt(r.diameter),
-        ]))
-    return "\n".join(rows) + "\n"
+    return "\n".join([RECORDS_HEADER, *(csv_row(_record_values(r)) for r in records)]) + "\n"
 
 
 def write_records_csv(records: list[RunRecord], destination) -> int:
@@ -206,7 +196,7 @@ def read_records_csv(source) -> list[RunRecord]:
             raise CsvFormatError(f"records CSV line {lineno}: network_model must be one of "
                                  f"{', '.join(sorted(_NETWORK_MODELS))}, not {model!r}")
         try:
-            # RunRecord's fields are in header order.
+            # The header is RunRecord's field list, so a row is in field order.
             records.append(RunRecord(
                 model, int(network_seed), int(sim_seed), float(k), float(curious),
                 float(enthusiastic), float(supporters), float(final_aware), float(final_both),
@@ -254,9 +244,8 @@ def render_heatmap(cells: dict[tuple[str, str], float]) -> tuple[str, str]:
     if any(not 0.0 <= v <= 1.0 for v in cells.values()):
         raise HeatmapError("cell values must lie in [0, 1]")
 
-    csv_lines = ["enthusiastic," + ",".join(curious_axis)]
-    for e in enth_axis:
-        csv_lines.append(e + "," + ",".join(fmt6(cells[(c, e)]) for c in curious_axis))
+    csv_lines = [csv_row(("enthusiastic", *curious_axis))]
+    csv_lines.extend(csv_row((e, *(cells[(c, e)] for c in curious_axis))) for e in enth_axis)
     csv_text = "\n".join(csv_lines) + "\n"
 
     width = len(curious_axis) * HEATMAP_CELL_PX

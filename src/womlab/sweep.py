@@ -55,19 +55,20 @@ class SweepGrid:
         if self.params is None:
             self.params = default_params(self.network_model)
         for name in ("curious_values", "enthusiastic_values", "supporter_values", "k_values"):
-            values = tuple(getattr(self, name))
+            given = tuple(getattr(self, name))
+            values = tuple(v + 0.0 for v in given)  # -0.0 becomes 0.0
             if not values:
                 raise SweepError(f"{name} must not be empty")
             if any(not 0.0 <= v <= 1.0 for v in values):
                 raise SweepError(f"{name} must lie in [0, 1]")
             # Values that print alike would run as one cell (see cell_key).
             seen: dict[str, float] = {}
-            for v in values:
+            for g, v in zip(given, values):
                 text = fmt6(v)
                 if text in seen:
-                    raise SweepError(f"{name} values {seen[text]!r} and {v!r} both print "
+                    raise SweepError(f"{name} values {seen[text]!r} and {g!r} both print "
                                      f"as {text}, so they would run as one cell")
-                seen[text] = v
+                seen[text] = g
             setattr(self, name, values)
         if self.replications < 1:
             raise SweepError("replications must be >= 1")
@@ -240,8 +241,10 @@ def aggregate(records: list[RunRecord]
     sorted order, every key part as ``cell_key`` writes it.  A cell is
     what ``cell_key`` names, so records whose values print alike fall
     into one cell; ``cell_key`` runs once per distinct value tuple.  Each
-    cell's sum runs over its records in input order.  Requires complete
-    cells: all cells must hold the same number of replicates.
+    cell's sum runs over its records in input order.  Requires every
+    cell value (k, supporters, curious, enthusiastic) in [0, 1], NaN
+    excluded, and complete cells: all cells must hold the same number
+    of replicates.
     """
     groups: dict[tuple, list[RunRecord]] = {}
     by_values: dict[tuple, list[RunRecord]] = {}
@@ -253,7 +256,12 @@ def aggregate(records: list[RunRecord]
                   record.enthusiastic or str(record.enthusiastic))
         group = by_values.get(values)
         if group is None:
-            group = by_values[values] = groups.setdefault(cell_key(record), [])
+            key = cell_key(record)
+            if not all(0.0 <= v <= 1.0 for v in (record.k, record.supporters,
+                                                  record.curious, record.enthusiastic)):
+                raise SweepError(f"cell {key[0]} k={key[1]} supporters={key[2]} curious="
+                                 f"{key[3]} enthusiastic={key[4]} lies outside [0, 1]")
+            group = by_values[values] = groups.setdefault(key, [])
         group.append(record)
     sizes = {len(g) for g in groups.values()}
     if len(sizes) > 1:

@@ -314,6 +314,21 @@ def test_sweep_axis_values_that_print_alike_exit_2_before_any_run(tmp_path, caps
     assert started == [] and stdout == "" and not out.exists()
 
 
+@pytest.mark.parametrize("k,code,k_column", [("-0", EXIT_OK, {"0.000000"}),
+                                              ("0,-0", EXIT_RUNTIME, None)],
+                         ids=["-0", "0,-0"])
+def test_sweep_negative_zero_k_is_the_zero_panel(tmp_path, capsys, k, code, k_column):
+    out = tmp_path / "records.csv"
+    got, _, err = run_cli(capsys, "sweep", "--model", "ws", "--n", "30", "--nei", "2",
+                          "--curious", "0.5", "--enthusiastic", "0.5", "--supporters", "0",
+                          "--k", k, "--reps", "2", "--out", str(out))
+    assert got == code, err
+    if k_column is None:
+        assert "both print as 0.000000" in err and not out.exists()
+    else:
+        assert {row.split(",")[3] for row in out.read_text().splitlines()[1:]} == k_column
+
+
 @pytest.mark.parametrize("where", ["missing-parent", "directory"])
 def test_sweep_unwritable_out_exits_2_before_any_run(tmp_path, capsys, monkeypatch, where):
     started = []
@@ -411,17 +426,20 @@ def test_report_names_each_file_after_its_six_decimal_panel(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("field,value", [("k", 10.000001), ("supporters", -0.5),
-                                         ("k", float("nan"))])
+                                         ("k", float("nan")),
+                                         ("curious", float("nan")), ("curious", 7.5),
+                                         ("enthusiastic", float("nan")), ("enthusiastic", 7.5)])
 def test_report_panel_outside_unit_interval_exits_2_and_writes_nothing(tmp_path, capsys,
                                                                       field, value):
-    # Beyond [0, 1] :g can name two panels alike: 10.000001 and 10.000002 both as k10.
+    # Beyond [0, 1] :g can name two panels alike: 10.000001 and 10.000002 both as k10;
+    # a trait value there would head a heatmap column the model cannot produce.
     csv_path = tmp_path / "records.csv"
     write_records_csv([record(0.5), record(0.5, **{field: value})], csv_path)
     out_dir = tmp_path / "heat"
     code, stdout, err = run_cli(capsys, "report", "--in", str(csv_path),
                                 "--out-dir", str(out_dir))
     assert code == EXIT_RUNTIME
-    assert err.startswith("womlab: error: panel ws k=") and "outside [0, 1]" in err
+    assert err.startswith("womlab: error: cell ws k=") and "outside [0, 1]" in err
     assert stdout == "" and not out_dir.exists()
 
 

@@ -259,6 +259,8 @@ def test_disconnected_markers():
 
 
 def test_clustering_examples():
+    assert global_clustering(build_graph(0, [])) == 0.0
+    assert global_clustering(build_graph(5, [])) == 0.0
     assert global_clustering(complete_graph(3)) == pytest.approx(1.0)
     assert global_clustering(path_graph(3)) == 0.0
     assert global_clustering(ring_lattice(10, 2)) == pytest.approx(0.5)

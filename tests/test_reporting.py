@@ -1,17 +1,18 @@
 """GraphML round-trips, CSV schemas and heatmap rendering."""
 
-import dataclasses
 import itertools
+import re
+from pathlib import Path
 
 import pytest
 
 from womlab.generators import FfParams, SiiParams, WsParams, generate
 from womlab.graph import build_graph
 from womlab.reporting import (HEATMAP_CELL_PX, GraphMLError, CsvFormatError,
-                              HeatmapError, RECORDS_HEADER, graphml_string,
+                              HeatmapError, RECORDS_HEADER, csv_row, graphml_string,
                               read_graphml, read_records_csv, records_csv_string,
                               render_heatmap, write_graphml, write_records_csv)
-from womlab.sweep import RunRecord, SweepGrid, aggregate, run_sweep
+from womlab.sweep import SweepGrid, aggregate, run_sweep
 from test_sweep import record, small_grid
 
 
@@ -198,9 +199,16 @@ def test_records_csv_round_trip(tmp_path):
         assert reread[cell] == pytest.approx(mean, abs=1e-6)
 
 
-def test_run_record_fields_are_the_records_header_in_order():
-    # read_records_csv builds each RunRecord from the row by position.
-    assert [f.name for f in dataclasses.fields(RunRecord)] == RECORDS_HEADER.split(",")
+def test_records_header_is_the_readme_header():
+    # The header is RunRecord's field list: renaming a field must not
+    # silently change the documented file format.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    [documented] = re.findall(r"`(network_model,[a-z_,]+)`", readme)
+    assert RECORDS_HEADER == documented
+
+
+def test_csv_row_writes_each_kind_of_value():
+    assert csv_row((True, False, None, 0.25, 7, "ws")) == "true,false,NA,0.250000,7,ws"
 
 
 def test_records_csv_header_mismatch(tmp_path):

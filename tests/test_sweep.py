@@ -8,7 +8,7 @@ import pytest
 import womlab.sweep
 from womlab.generators import GenerationError, SiiParams, WsParams, generate_validated
 from womlab.sweep import (SIM_SEED_XOR, RunRecord, SweepError, SweepGrid, aggregate,
-                          enumerate_cells, execute_run, run_sweep)
+                          enumerate_cells, execute_run, fmt6, run_sweep)
 
 SMALL_WS = WsParams(n=80, nei=3, p_rewire=0.1)
 
@@ -101,6 +101,16 @@ def test_grid_rejects_axis_values_that_print_alike(axis, values):
                                          r"print as 0\.500000"):
         small_grid(**{axis: values})
     small_grid(**{axis: (0.5, 0.500001)})  # 6 decimals apart is fine
+
+
+@pytest.mark.parametrize("axis", ["curious_values", "enthusiastic_values",
+                                  "supporter_values", "k_values"])
+def test_grid_writes_negative_zero_as_zero(axis):
+    # -0.0 + 0.0 is 0.0, so a -0 axis value is the 0 cell, not a cell of its own.
+    with pytest.raises(SweepError, match=rf"{axis} values 0\.0 and -0\.0 both print as 0\.000000"):
+        small_grid(**{axis: (0.0, -0.0)})
+    [value] = getattr(small_grid(**{axis: (-0.0,)}), axis)
+    assert fmt6(value) == "0.000000"
 
 
 # -- execution ------------------------------------------------------------------
