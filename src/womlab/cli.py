@@ -17,9 +17,10 @@ from .generators import (MODEL_IDS, FfParams, GenerationError, SiiParams, WsPara
                          default_params, generate_validated)
 from .graph import compute_metrics
 from .model import (AWARENESS_NAMES, EXPERTISE_NAMES, STATE_COMBOS, SimConfig, run)
-from .reporting import (METRICS_HEADER, CsvFormatError, csv_row, read_graphml,
-                        read_records_csv, records_csv_string, render_heatmap,
-                        write_graphml, write_records_csv)
+from .reporting import (METRICS_HEADER, CsvFormatError, csv_row, iter_records, read_graphml,
+                        records_csv_string, render_heatmap, write_graphml, write_records_csv)
+# Not called here: perfbench reads a sweep's records back as womlab.cli.read_records_csv.
+from .reporting import read_records_csv  # noqa: F401
 from .sweep import SweepGrid, aggregate, run_record, run_sweep
 
 EXIT_OK = 0
@@ -207,12 +208,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
-    records = read_records_csv(args.infile)
-    if not records:
+    panels = aggregate(iter_records(args.infile))
+    if not panels:
         raise CsvFormatError("records CSV contains no rows")
     # Render every panel before writing any, so a bad panel leaves no output.
     rendered = {}
-    for (model, k, supporters), cells in aggregate(records):
+    for (model, k, supporters), cells in panels:
         # aggregate keeps k and supporters on [0, 1], where :g names distinct
         # 6-decimal texts apart; beyond, it may not.
         stem = f"heatmap_{model}_k{float(k):g}_s{float(supporters):g}"

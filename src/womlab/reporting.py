@@ -13,6 +13,7 @@ any graphics dependency.
 from __future__ import annotations
 
 import xml.parsers.expat
+from collections.abc import Iterator
 from dataclasses import fields
 from operator import attrgetter
 from pathlib import Path
@@ -157,8 +158,22 @@ def read_graphml(source) -> Graph:
 # -- metrics / records CSV ------------------------------------------------------
 
 
+# The positions of RunRecord's real fields.  They are written with fmt6
+# whatever the value's type, so a record built with k=1 writes 1.000000.
+_REAL_FIELDS = tuple(i for i, f in enumerate(fields(RunRecord))
+                     if f.type in ("float", "float | None"))
+
+
+def _record_row(record: RunRecord) -> str:
+    values = list(_record_values(record))
+    for i in _REAL_FIELDS:
+        if values[i] is not None:
+            values[i] = fmt6(values[i])
+    return csv_row(values)
+
+
 def records_csv_string(records: list[RunRecord]) -> str:
-    return "\n".join([RECORDS_HEADER, *(csv_row(_record_values(r)) for r in records)]) + "\n"
+    return "\n".join([RECORDS_HEADER, *map(_record_row, records)]) + "\n"
 
 
 def write_records_csv(records: list[RunRecord], destination) -> int:
@@ -174,41 +189,65 @@ _BOOLS = {"true": True, "false": False}
 _NETWORK_MODELS = frozenset((*MODEL_IDS, "file"))
 
 
+class _Parsed(dict):
+    """Values parsed from texts, each text parsed once."""
+
+    def __init__(self, parse):
+        self.parse = parse
+
+    def __missing__(self, text):
+        value = self[text] = self.parse(text)
+        return value
+
+
+def iter_records(source) -> Iterator[RunRecord]:
+    """Parse a records CSV lazily, one validated record per row, so a
+    caller that folds the rows holds one row at a time.
+
+    Blank lines are skipped, and a row with the wrong field count, a
+    ``network_model`` no sweep or simulation writes, a number that does
+    not parse or a ``hit_max_rounds`` other than ``true`` or ``false`` is
+    rejected with its line number in the file when the iteration reaches
+    it.  Lines may end in ``\\n``, ``\\r\\n`` or ``\\r``."""
+    # Grid axes, run lengths, node counts and diameters take few distinct
+    # values, so parsing each distinct text once saves time and holds little.
+    axes, counts = _Parsed(float), _Parsed(int)
+    with open(source, encoding="utf-8") as lines:
+        if lines.readline().rstrip("\n") != RECORDS_HEADER:
+            raise CsvFormatError("records CSV header does not match the schema")
+        for lineno, line in enumerate(lines, start=2):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != 17:
+                raise CsvFormatError(f"records CSV line {lineno}: expected 17 fields")
+            (model, network_seed, sim_seed, k, curious, enthusiastic, supporters, final_aware,
+             final_both, rounds, hit_max_rounds, nodes, edges, density, avg_path_length,
+             clustering, diameter) = parts
+            if model not in _NETWORK_MODELS:
+                raise CsvFormatError(f"records CSV line {lineno}: network_model must be one "
+                                     f"of {', '.join(sorted(_NETWORK_MODELS))}, not {model!r}")
+            try:
+                # The header is RunRecord's field list, so a row is in field order.
+                record = RunRecord(
+                    model, int(network_seed), int(sim_seed), axes[k], axes[curious],
+                    axes[enthusiastic], axes[supporters], float(final_aware),
+                    float(final_both), counts[rounds], _BOOLS[hit_max_rounds], counts[nodes],
+                    int(edges), float(density),
+                    None if avg_path_length == "NA" else float(avg_path_length),
+                    float(clustering), None if diameter == "NA" else counts[diameter])
+            except KeyError:
+                raise CsvFormatError(f"records CSV line {lineno}: hit_max_rounds must be "
+                                     f"true or false, not {hit_max_rounds!r}") from None
+            except ValueError as exc:
+                raise CsvFormatError(f"records CSV line {lineno}: {exc}") from None
+            yield record
+
+
 def read_records_csv(source) -> list[RunRecord]:
-    """Parse a records CSV; blank lines are skipped, and a row with the
-    wrong field count, a ``network_model`` no sweep or simulation writes,
-    a number that does not parse or a ``hit_max_rounds`` other than
-    ``true`` or ``false`` is rejected with its line number in the file."""
-    lines = Path(source).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != RECORDS_HEADER:
-        raise CsvFormatError("records CSV header does not match the schema")
-    records = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 17:
-            raise CsvFormatError(f"records CSV line {lineno}: expected 17 fields")
-        (model, network_seed, sim_seed, k, curious, enthusiastic, supporters, final_aware,
-         final_both, rounds, hit_max_rounds, nodes, edges, density, avg_path_length,
-         clustering, diameter) = parts
-        if model not in _NETWORK_MODELS:
-            raise CsvFormatError(f"records CSV line {lineno}: network_model must be one of "
-                                 f"{', '.join(sorted(_NETWORK_MODELS))}, not {model!r}")
-        try:
-            # The header is RunRecord's field list, so a row is in field order.
-            records.append(RunRecord(
-                model, int(network_seed), int(sim_seed), float(k), float(curious),
-                float(enthusiastic), float(supporters), float(final_aware), float(final_both),
-                int(rounds), _BOOLS[hit_max_rounds], int(nodes), int(edges), float(density),
-                None if avg_path_length == "NA" else float(avg_path_length),
-                float(clustering), None if diameter == "NA" else int(diameter)))
-        except KeyError:
-            raise CsvFormatError(f"records CSV line {lineno}: hit_max_rounds must be "
-                                 f"true or false, not {hit_max_rounds!r}") from None
-        except ValueError as exc:
-            raise CsvFormatError(f"records CSV line {lineno}: {exc}") from None
-    return records
+    """All of a records CSV's records, as ``iter_records`` parses them."""
+    return list(iter_records(source))
 
 
 # -- heatmaps ----------------------------------------------------------------

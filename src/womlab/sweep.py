@@ -11,6 +11,7 @@ a sweep is bit-reproducible for any worker count.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
@@ -232,7 +233,7 @@ def cell_key(record: RunRecord) -> tuple[str, str, str, str, str]:
             fmt6(record.curious), fmt6(record.enthusiastic))
 
 
-def aggregate(records: list[RunRecord]
+def aggregate(records: Iterable[RunRecord]
               ) -> list[tuple[tuple[str, str, str], dict[tuple[str, str], float]]]:
     """Collapse records into heatmap panels of per-cell means of ``final_both``.
 
@@ -240,34 +241,37 @@ def aggregate(records: list[RunRecord]
     mean_final_both})`` pairs in sorted panel order, each panel's cells in
     sorted order, every key part as ``cell_key`` writes it.  A cell is
     what ``cell_key`` names, so records whose values print alike fall
-    into one cell; ``cell_key`` runs once per distinct value tuple.  Each
-    cell's sum runs over its records in input order.  Requires every
-    cell value (k, supporters, curious, enthusiastic) in [0, 1], NaN
-    excluded, and complete cells: all cells must hold the same number
-    of replicates.
+    into one cell; ``cell_key`` runs once per distinct value tuple.
+    ``records`` may be any iterable, read once: only a running total and
+    count per cell are kept, and each total adds its records'
+    ``final_both`` one by one in input order, starting from 0.  Requires
+    every cell value (k, supporters, curious, enthusiastic) in [0, 1],
+    NaN excluded, checked as each new cell is seen, and complete cells:
+    all cells must hold the same number of replicates.
     """
-    groups: dict[tuple, list[RunRecord]] = {}
-    by_values: dict[tuple, list[RunRecord]] = {}
+    cells: dict[tuple, list] = {}  # cell_key -> [total, count]
+    by_values: dict[tuple, list] = {}
     for record in records:
         # ``x or str(x)`` keeps 0.0 and -0.0 apart, as cell_key does.
         values = (record.network_model, record.k or str(record.k),
                   record.supporters or str(record.supporters),
                   record.curious or str(record.curious),
                   record.enthusiastic or str(record.enthusiastic))
-        group = by_values.get(values)
-        if group is None:
+        cell = by_values.get(values)
+        if cell is None:
             key = cell_key(record)
             if not all(0.0 <= v <= 1.0 for v in (record.k, record.supporters,
                                                   record.curious, record.enthusiastic)):
                 raise SweepError(f"cell {key[0]} k={key[1]} supporters={key[2]} curious="
                                  f"{key[3]} enthusiastic={key[4]} lies outside [0, 1]")
-            group = by_values[values] = groups.setdefault(key, [])
-        group.append(record)
-    sizes = {len(g) for g in groups.values()}
+            cell = by_values[values] = cells.setdefault(key, [0, 0])
+        cell[0] += record.final_both
+        cell[1] += 1
+    sizes = {count for _, count in cells.values()}
     if len(sizes) > 1:
         raise SweepError(f"ragged cells: replicate counts {sorted(sizes)} differ")
     panels: dict[tuple[str, str, str], dict[tuple[str, str], float]] = {}
-    for key in sorted(groups):
-        group = groups[key]
-        panels.setdefault(key[:3], {})[key[3:]] = sum(r.final_both for r in group) / len(group)
+    for key in sorted(cells):
+        total, count = cells[key]
+        panels.setdefault(key[:3], {})[key[3:]] = total / count
     return list(panels.items())

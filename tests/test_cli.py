@@ -376,9 +376,12 @@ def test_report_one_panel_two_files(tmp_path, capsys):
 def test_report_empty_records_exits_2(tmp_path, capsys):
     csv_path = tmp_path / "records.csv"
     write_records_csv([], csv_path)
-    code, _, err = run_cli(capsys, "report", "--in", str(csv_path),
-                           "--out-dir", str(tmp_path / "heat"))
+    out_dir = tmp_path / "heat"
+    code, stdout, err = run_cli(capsys, "report", "--in", str(csv_path),
+                                "--out-dir", str(out_dir))
     assert code == EXIT_RUNTIME
+    assert err == "womlab: error: records CSV contains no rows\n"
+    assert stdout == "" and not out_dir.exists()
 
 
 def test_report_incomplete_grid_exits_2(tmp_path, capsys):

@@ -6,19 +6,25 @@ call time.  A refactor that goes round one of them (a generator calling
 test; it would only empty that layer's benchmark metrics.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
 
+import womlab.cli
 import womlab.generators
 from womlab.cli import EXIT_OK, main
 from womlab.generators import MODEL_IDS
+from womlab.reporting import RECORDS_HEADER, write_records_csv
+from test_sweep import record
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _tracing_targets():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    path = PERFBENCH / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -46,3 +52,20 @@ def test_every_run_builds_its_graph_through_build_graph(model, tmp_path, capsys,
     assert code == EXIT_OK
     assert capsys.readouterr().out == "runs: 2, failed: 0\n"
     assert len(calls) >= 2
+
+
+def test_benchmark_records_header_is_womlabs():
+    # perfbench/run.py writes the report workload's input under its own
+    # header literal; it is read with ast, since run.py imports scipy.
+    tree = ast.parse((PERFBENCH / "run.py").read_text(encoding="utf-8"))
+    [literal] = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["RECORDS_HEADER"]]
+    assert ast.literal_eval(literal) == RECORDS_HEADER
+
+
+def test_cli_read_records_csv_returns_a_list(tmp_path):
+    # The sweep workload's check takes len() of what it returns.
+    path = tmp_path / "records.csv"
+    write_records_csv([record(0.5), record(0.25, sim_seed=2)], path)
+    records = womlab.cli.read_records_csv(path)
+    assert isinstance(records, list) and len(records) == 2

@@ -2,6 +2,7 @@
 
 import itertools
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -10,8 +11,9 @@ from womlab.generators import FfParams, SiiParams, WsParams, generate
 from womlab.graph import build_graph
 from womlab.reporting import (HEATMAP_CELL_PX, GraphMLError, CsvFormatError,
                               HeatmapError, RECORDS_HEADER, csv_row, graphml_string,
-                              read_graphml, read_records_csv, records_csv_string,
-                              render_heatmap, write_graphml, write_records_csv)
+                              iter_records, read_graphml, read_records_csv,
+                              records_csv_string, render_heatmap, write_graphml,
+                              write_records_csv)
 from womlab.sweep import SweepGrid, aggregate, run_sweep
 from test_sweep import record, small_grid
 
@@ -211,6 +213,15 @@ def test_csv_row_writes_each_kind_of_value():
     assert csv_row((True, False, None, 0.25, 7, "ws")) == "true,false,NA,0.250000,7,ws"
 
 
+def test_records_csv_writes_real_fields_with_six_decimals_whatever_their_type():
+    fields = records_csv_string([record(1, k=1, density=0, avg_path_length=None)]
+                               ).splitlines()[1].split(",")
+    named = dict(zip(RECORDS_HEADER.split(","), fields))
+    assert [named[f] for f in ("k", "final_aware", "final_both", "density")] == [
+        "1.000000", "1.000000", "1.000000", "0.000000"]
+    assert (named["avg_path_length"], named["rounds"], named["nodes"]) == ("NA", "10", "10")
+
+
 def test_records_csv_header_mismatch(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")
@@ -273,6 +284,55 @@ def test_records_csv_non_numeric_field_names_file_line(tmp_path):
     path.write_text(records_text(record_row(), ",".join(fields)))
     with pytest.raises(CsvFormatError, match="records CSV line 3: .*'ten'"):
         read_records_csv(path)
+
+
+def test_streamed_fold_matches_the_list_path(tmp_path):
+    # Three interleaved cells of three replicates, CRLF line endings: curious
+    # written as 0.5 and as 0.500000 (one cell), and 0.000000 and -0.000000
+    # (two cells).  The sum of 0.1, 0.2, 0.3 shows its order in the bits.
+    fields = record_row().split(",")
+    rows = []
+    for rep, both in enumerate(("0.1", "0.2", "0.3")):
+        for curious in (("0.5", "0.500000")[rep % 2], "0.000000", "-0.000000"):
+            fields[4], fields[8], fields[2] = curious, both, str(rep)
+            rows.append(",".join(fields))
+    path = tmp_path / "records.csv"
+    path.write_bytes(records_text(*rows).replace("\n", "\r\n").encode())
+    streamed, listed = aggregate(iter_records(path)), aggregate(read_records_csv(path))
+    assert streamed == listed
+    [(_, cells)], [(_, list_cells)] = streamed, listed
+    assert list(cells) == [("-0.000000", "0.500000"), ("0.000000", "0.500000"),
+                           ("0.500000", "0.500000")]
+    assert [m.hex() for m in cells.values()] == [m.hex() for m in list_cells.values()]
+    assert cells[("0.500000", "0.500000")] == (0.1 + 0.2 + 0.3) / 3 != 0.6 / 3
+
+
+def test_streamed_fold_holds_no_records_list(tmp_path):
+    # 20 x 20 cells of 50 replicates: 20,000 rows.
+    fields = record_row().split(",")
+    rows = []
+    for curious, enthusiastic in itertools.product(range(20), repeat=2):
+        fields[4], fields[5] = f"{curious / 20:.6f}", f"{enthusiastic / 20:.6f}"
+        rows.extend(",".join(fields) for _ in range(50))
+    path = tmp_path / "records.csv"
+    path.write_text(records_text(*rows))
+    del rows
+
+    def peak(fn):
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        result = fn(path)
+        _, top = tracemalloc.get_traced_memory()
+        return result, top - before
+
+    tracemalloc.start()
+    try:
+        panels, stream_peak = peak(lambda p: aggregate(iter_records(p)))
+        records, list_peak = peak(read_records_csv)
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 20_000 and len(panels[0][1]) == 400
+    assert stream_peak < list_peak / 4
 
 
 def test_csv_byte_stability():
