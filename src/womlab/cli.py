@@ -75,19 +75,6 @@ def _add_model_flags(parser: _Parser) -> None:
                         help="connectivity retries before giving up (default %(default)s)")
 
 
-def _add_sim_flags(parser: _Parser) -> None:
-    parser.add_argument("--ad-rounds", type=int, default=SimConfig.ad_rounds,
-                        help="advertisement campaign length in rounds (default %(default)s)")
-    parser.add_argument("--ad-share", type=float, default=SimConfig.ad_share,
-                        help="population share reached per ad round (default %(default)s)")
-    parser.add_argument("--t-promote", type=int, default=SimConfig.t_promote,
-                        help="push budget of a promoting agent (default %(default)s)")
-    parser.add_argument("--max-rounds", type=int, default=SimConfig.max_rounds,
-                        help="hard round cap (default %(default)s)")
-    parser.add_argument("--no-give-up", action="store_true",
-                        help="exhausted seekers idle instead of settling for awareness")
-
-
 def _comma_floats(text: str) -> list[float]:
     try:
         return [float(part) for part in text.split(",")]
@@ -124,7 +111,6 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--seed", type=int, default=SimConfig.seed,
                        help="simulation seed (default %(default)s)")
     p_sim.add_argument("--trace", help="write per-round state counts to this CSV path")
-    _add_sim_flags(p_sim)
 
     p_sweep = sub.add_parser("sweep", help="run a parameter grid",
                              description="Run the full replication grid for one network model "
@@ -176,10 +162,7 @@ def cmd_metrics(args) -> int:
 def cmd_simulate(args) -> int:
     graph = read_graphml(args.network)
     cfg = SimConfig(k=args.k, p_curious=args.curious, p_enthusiastic=args.enthusiastic,
-                    p_supporter=args.supporters, ad_rounds=args.ad_rounds,
-                    ad_share=args.ad_share, t_promote=args.t_promote,
-                    seeker_gives_up=not args.no_give_up, max_rounds=args.max_rounds,
-                    seed=args.seed)
+                    p_supporter=args.supporters, seed=args.seed)
     result = run(graph, cfg)
     record = run_record("file", 0, cfg, result, compute_metrics(graph))
     if args.trace:  # before the record is printed, so a failed write prints nothing

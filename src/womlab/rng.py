@@ -8,6 +8,7 @@ which they take draws from their stream; nothing else shares it.
 
 from __future__ import annotations
 
+import operator
 from itertools import chain
 
 import numpy as np
@@ -28,8 +29,15 @@ RngSeed = int
 
 
 def check_seed(seed: int) -> int:
-    """Validate a 64-bit unsigned seed and return it as a plain int."""
-    seed = int(seed)
+    """Validate a 64-bit unsigned integer seed and return it as a plain int.
+
+    Any integer type is taken (``np.uint64`` too); a float such as 1.9 is
+    rejected rather than truncated.
+    """
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ValueError(f"seed must be an integer, got {seed!r}") from None
     if not 0 <= seed <= SEED_MASK:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
     return seed

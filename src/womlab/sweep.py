@@ -75,7 +75,7 @@ class SweepGrid:
             raise SweepError("replications must be >= 1")
         if self.max_retries < 1:
             raise SweepError("max_retries must be >= 1")
-        check_seed(self.base_seed)
+        self.base_seed = check_seed(self.base_seed)
 
     def run_count(self) -> int:
         return (len(self.k_values) * len(self.supporter_values)

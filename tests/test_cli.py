@@ -13,9 +13,9 @@ from womlab.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, _model_params, build_p
 from womlab.generators import (MODEL_IDS, FfParams, GenerationError, SiiParams, WsParams,
                                default_params, generate_validated)
 from womlab.graph import build_graph
-from womlab.model import SimConfig
 from womlab.reporting import write_graphml, write_records_csv
 from womlab.sweep import SweepGrid, run_sweep
+from test_golden import RETRY_NETWORK_FLAGS, RETRY_SWEEP_FLAGS
 from test_sweep import record, small_grid
 
 
@@ -196,6 +196,61 @@ def test_simulate_missing_network(tmp_path, capsys):
                            "--k", "0", "--curious", "0", "--enthusiastic", "0",
                            "--supporters", "0")
     assert code == EXIT_RUNTIME
+
+
+@pytest.mark.parametrize("flag", [("--ad-rounds", "0"), ("--ad-share", "0.5"),
+                                  ("--t-promote", "0"), ("--max-rounds", "0"),
+                                  ("--no-give-up",)], ids=lambda flag: flag[0])
+def test_simulate_calibration_flags_are_usage_errors(ws_file, tmp_path, capsys, flag):
+    # simulate runs SimConfig's calibration, the one every sweep runs.
+    trace = tmp_path / "trace.csv"
+    code, out, err = run_cli(capsys, "simulate", "--network", str(ws_file), "--k", "0.1",
+                             "--curious", "0.5", "--enthusiastic", "0.5", "--supporters", "0",
+                             "--trace", str(trace), *flag)
+    assert code == EXIT_USAGE
+    assert f"unrecognized arguments: {' '.join(flag)}" in err
+    assert out == "" and not trace.exists()
+
+
+def assert_reproduced(tmp_path, capsys, network_flags, row):
+    """Rerun one records row through ``generate`` and ``simulate`` alone."""
+    _, network_seed, sim_seed, k, curious, enthusiastic, supporters = row.split(",")[:7]
+    network = tmp_path / f"net_{network_seed}.graphml"
+    code, _, _ = run_cli(capsys, "generate", *network_flags, "--seed", network_seed,
+                         "--out", str(network))
+    assert code == EXIT_OK
+    code, out, _ = run_cli(capsys, "simulate", "--network", str(network), "--k", k,
+                           "--curious", curious, "--enthusiastic", enthusiastic,
+                           "--supporters", supporters, "--seed", sim_seed)
+    assert code == EXIT_OK
+    # simulate names its network "file" with seed 0; the rest is the sweep's row.
+    assert out.splitlines()[1].split(",")[2:] == row.split(",")[2:]
+
+
+@pytest.mark.parametrize("network_flags", [
+    ("--model", "ws", "--n", "60"),
+    ("--model", "ff", "--n", "60"),
+    ("--model", "sii", "--islands", "4", "--island-size", "12"),
+], ids=lambda flags: flags[1])
+def test_sweep_row_is_reproduced_by_generate_and_simulate(tmp_path, capsys, network_flags):
+    out = tmp_path / "records.csv"
+    code, _, _ = run_cli(capsys, "sweep", *network_flags, "--k", "0.1", "--supporters", "0.1",
+                         "--curious", "0.5", "--enthusiastic", "0.5", "--reps", "1",
+                         "--base-seed", "7", "--out", str(out))
+    assert code == EXIT_OK
+    [row] = out.read_text().splitlines()[1:]
+    assert_reproduced(tmp_path, capsys, network_flags, row)
+
+
+def test_retried_sweep_row_is_reproduced_by_generate_and_simulate(tmp_path, capsys):
+    out = tmp_path / "records.csv"
+    code, _, _ = run_cli(capsys, "sweep", *RETRY_SWEEP_FLAGS, "--out", str(out))
+    assert code == EXIT_OK
+    params = _model_params(build_parser().parse_args(
+        ["generate", *RETRY_NETWORK_FLAGS, "--out", "x"]))
+    row = next(row for row in out.read_text().splitlines()[1:]
+               if generate_validated("sii", params, int(row.split(",")[1]))[2] > 1)
+    assert_reproduced(tmp_path, capsys, RETRY_NETWORK_FLAGS, row)
 
 
 # -- sweep ----------------------------------------------------------------------
@@ -517,15 +572,8 @@ def test_ws_and_ff_share_node_count_default():
     assert WsParams.n == FfParams.n  # both read --n
 
 
-def test_simulate_and_sweep_flag_defaults_are_class_defaults():
-    parser = build_parser()
-    sim = parser.parse_args(["simulate", "--network", "x", "--k", "0", "--curious", "0",
-                             "--enthusiastic", "0", "--supporters", "0"])
-    cfg = SimConfig(k=0, p_curious=0, p_enthusiastic=0, p_supporter=0)
-    assert (sim.ad_rounds, sim.ad_share, sim.t_promote, not sim.no_give_up,
-            sim.max_rounds, sim.seed) == (cfg.ad_rounds, cfg.ad_share, cfg.t_promote,
-                                          cfg.seeker_gives_up, cfg.max_rounds, cfg.seed)
-    sweep = parser.parse_args(["sweep", "--model", "ws", "--out", "x"])
+def test_sweep_flag_defaults_are_class_defaults():
+    sweep = build_parser().parse_args(["sweep", "--model", "ws", "--out", "x"])
     grid = SweepGrid(network_model="ws")
     assert (sweep.reps, sweep.base_seed, sweep.max_retries) == (
         grid.replications, grid.base_seed, grid.max_retries)

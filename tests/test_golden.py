@@ -31,8 +31,9 @@ SIMULATE_TRACE_SHA256 = "87c72514cbb80a81eb44e3fb06b6588bba2a916b4f70004e5a43f4f
 
 # Sparse islands: several of these runs need connectivity retries, so the
 # digest pins the retry seeds (see test_retried_runs_never_share_a_network).
-RETRY_SWEEP_FLAGS = ("--model", "sii", "--islands", "4", "--island-size", "8",
-                     "--p-in", "0.35", "--inter", "1", "--k", "0.1", "--supporters", "0",
+RETRY_NETWORK_FLAGS = ("--model", "sii", "--islands", "4", "--island-size", "8",
+                       "--p-in", "0.35", "--inter", "1")
+RETRY_SWEEP_FLAGS = (*RETRY_NETWORK_FLAGS, "--k", "0.1", "--supporters", "0",
                      "--curious", "0.5", "--enthusiastic", "0.5", "--reps", "20",
                      "--base-seed", "0")
 RETRY_SWEEP_RECORDS_SHA256 = "8add0207f29caccbe2c2a89b9017255a333e2571ad0f20bac3e415bd8ecbff87"

@@ -6,8 +6,11 @@ from bisect import bisect_right
 import numpy as np
 import pytest
 
-from womlab.rng import (GEOMETRIC_SEARCH_MIN_P, RAW_BLOCK, PhiloxReplay, geometric_thresholds,
-                        make_rng)
+from womlab.generators import WsParams, generate_ws
+from womlab.model import SimConfig
+from womlab.rng import (GEOMETRIC_SEARCH_MIN_P, RAW_BLOCK, PhiloxReplay, check_seed,
+                        geometric_thresholds, make_rng)
+from womlab.sweep import SweepGrid
 
 # 2**31 + 1 rejects about half of its first draws.
 INTEGER_HIS = (1, 2, 7, 999, 2 ** 31, 2 ** 31 + 1, 2 ** 32 - 5, 2 ** 32)
@@ -133,3 +136,21 @@ def test_list_shuffle_matches_array_shuffle():
             assert list_rng.integers(0, 2 ** 32) == array_rng.integers(0, 2 ** 32), (
                 f"numpy {np.__version__}: list shuffle leaves the stream elsewhere "
                 f"(seed {seed}, length {length})")
+
+
+def test_non_integral_seeds_are_rejected_not_truncated():
+    # A float seed is an error, never the run of the seed it truncates to.
+    with pytest.raises(ValueError, match="seed must be an integer, got 1.9"):
+        SimConfig(k=0.1, p_curious=0.5, p_enthusiastic=0.5, p_supporter=0.0, seed=1.9)
+    with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
+        SweepGrid(network_model="ws", base_seed=1.5)
+    with pytest.raises(ValueError, match="seed must be an integer, got 2.7"):
+        generate_ws(WsParams(n=20, nei=2), 2.7)
+
+
+def test_numpy_integer_seeds_are_plain_ints():
+    assert type(check_seed(np.uint64(5))) is int and check_seed(np.uint64(5)) == 5
+    grid = SweepGrid(network_model="ws", base_seed=np.uint64(2 ** 64 - 1))
+    assert type(grid.base_seed) is int and grid.base_seed == 2 ** 64 - 1
+    with pytest.raises(ValueError, match="64-bit unsigned"):
+        check_seed(-1)

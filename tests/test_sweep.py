@@ -2,6 +2,8 @@
 
 import concurrent.futures.process
 import dataclasses
+import operator
+from functools import reduce
 
 import pytest
 
@@ -272,15 +274,19 @@ def test_aggregate_groups_by_model_and_cell():
 def test_aggregate_cell_identity_and_input_order():
     # Two interleaved cells; cell a's k values print alike at 6 decimals.
     a_values, b_values = [0.1, 0.2, 0.3], [0.9, 0.4, 0.6]
-    assert sum(a_values) != sum(reversed(a_values))  # the order shows in the bits
+
+    def total(values):  # the README's rule: added in input order from 0
+        return reduce(operator.add, values, 0)  # not sum(), compensated from Python 3.12
+
+    assert total(a_values) != total(reversed(a_values))  # the order shows in the bits
     records = []
     for i, (a, b) in enumerate(zip(a_values, b_values)):
         records.append(record(a, k=0.1 + (1e-12 if i % 2 else 0.0), sim_seed=2 * i))
         records.append(record(b, curious=0.9, sim_seed=2 * i + 1))
     [(panel, cells)] = aggregate(records)
     assert panel == WS_PANEL
-    assert cells == {MID_CELL: sum(a_values) / 3,
-                     ("0.900000", "0.500000"): sum(b_values) / 3}
+    assert cells == {MID_CELL: total(a_values) / 3,
+                     ("0.900000", "0.500000"): total(b_values) / 3}
 
 
 def test_aggregate_keeps_signed_zeros_apart():
