@@ -13,15 +13,16 @@ it).  Three fixed boolean traits drive behaviour:
 
 An advertisement campaign seeds awareness during the first rounds.
 Seekers query their neighbors in random order, spreading awareness as
-they go and stopping as soon as expertise reaches them; a queried
+they go and stopping as soon as expertise reaches them; a seeker whose
+neighbors run out without it settles for plain awareness.  A queried
 non-expert remembers the requester and pays the expertise back the
 moment it arrives, so a chain of open requests is fulfilled in cascade
 once any of its members reaches an expert.  Promotion addresses one
 fresh random neighbor per round until the promoter's budget or
 neighborhood runs out, handing over awareness plus expertise; a
 neighbor that reacts by seeking gathers the expertise through its own
-queries instead.  The run ends at quiescence (no seeker has a move
-left, nobody promotes, advertising is over) or at the round cap.
+queries instead.  The run ends at quiescence (nobody seeks or
+promotes, advertising is over) or at the round cap.
 
 State is kept in parallel per-agent lists inside :class:`World`; an
 agent acts on its turn only while it is in an *episode* (seeking or
@@ -32,6 +33,7 @@ independent worlds share nothing and may run concurrently.
 
 from __future__ import annotations
 
+import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -61,9 +63,8 @@ class SimConfig:
     ``p_curious`` / ``p_enthusiastic`` / ``p_supporter`` the trait
     shares.  The advertisement campaign reaches ``ad_share`` of the
     population in each of the first ``ad_rounds`` rounds.  Promoters
-    stay active for ``t_promote`` pushes.  With ``seeker_gives_up`` a
-    seeker that exhausted its neighbors settles for plain awareness,
-    which guarantees quiescence on networks lacking expertise.
+    stay active for ``t_promote`` pushes.  The counts and the seed are
+    stored as plain ints.
     """
 
     k: float
@@ -73,7 +74,6 @@ class SimConfig:
     ad_rounds: int = 8
     ad_share: float = 0.01
     t_promote: int = 15
-    seeker_gives_up: bool = True
     max_rounds: int = 1000
     seed: RngSeed = 0
 
@@ -82,9 +82,17 @@ class SimConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if self.ad_rounds < 0 or self.t_promote < 0 or self.max_rounds < 0:
-            raise ValueError("ad_rounds, t_promote and max_rounds must be >= 0")
-        check_seed(self.seed)
+        # Frozen: store the checked values through object.__setattr__.
+        for name in ("ad_rounds", "t_promote", "max_rounds"):
+            value = getattr(self, name)
+            try:
+                value = operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
 
 @dataclass(frozen=True)
@@ -157,14 +165,15 @@ class World:
         return (c[SEEKING * 3 + PROACTIVE] + c[SEEKING * 3 + KNOWLEDGEABLE]
                 + c[AWARE * 3 + PROACTIVE] + c[AWARE * 3 + KNOWLEDGEABLE])
 
-    def is_quiescent(self) -> bool:
-        """No promoter, no seeker with a move left, advertising over."""
+    def _nobody_acts(self) -> bool:
+        """Nobody seeks or promotes."""
         counts = self.counts
-        if self.round < self.cfg.ad_rounds or any(counts[PROACTIVE::3]):
-            return False
-        if self.cfg.seeker_gives_up:
-            return not counts[SEEKING * 3 + IGNORANT]  # a seeker is always ignorant
-        return not any(self.episode)  # only seekers are left in an episode
+        return not (counts[SEEKING * 3 + IGNORANT]  # a seeker is always ignorant
+                    or any(counts[PROACTIVE::3]))
+
+    def is_quiescent(self) -> bool:
+        """Advertising over, nobody seeks or promotes."""
+        return self.round >= self.cfg.ad_rounds and self._nobody_acts()
 
     def _shuffled_neighbors(self, i: int) -> list[int]:
         # numpy shuffles a list with the same draws and swaps as an array.
@@ -267,13 +276,12 @@ def step(world: World) -> None:
     it holds any) or records the seeker as a pending requester; the
     burst stops the moment expertise reaches the seeker, and a seeker
     that exhausts its list without success gives up into plain
-    awareness (unless configured to idle instead).  A promoter
-    addresses the next neighbor of its shuffled promotion episode (one
-    per round, each neighbor at most once): the neighbor becomes aware
-    and, unless it is busy seeking, receives the expertise on the spot
-    (a seeking neighbor gathers it through its own queries instead);
-    the promoter retires to knowledgeable when its episode, cut to its
-    push budget, runs empty.
+    awareness.  A promoter addresses the next neighbor of its shuffled
+    promotion episode (one per round, each neighbor at most once): the
+    neighbor becomes aware and, unless it is busy seeking, receives the
+    expertise on the spot (a seeking neighbor gathers it through its own
+    queries instead); the promoter retires to knowledgeable when its
+    episode, cut to its push budget, runs empty.
 
     Draw order: the advertisement's ``choice`` over the ascending
     unaware pool (none when the whole pool is reached), then the
@@ -294,14 +302,12 @@ def step(world: World) -> None:
             for t in pool.tolist():
                 _deliver_awareness(world, t)
     order = rng.permutation(world.n)
-    counts = world.counts
-    if not (counts[SEEKING * 3 + IGNORANT] or any(counts[PROACTIVE::3])):
-        return  # nobody can act, so nobody can be activated
+    if world._nobody_acts():
+        return  # so nobody can be activated either
     awareness = world.awareness
     expertise = world.expertise
     episodes = world.episode
     pending = world.pending
-    seeker_gives_up = cfg.seeker_gives_up
     for i in order.tolist():
         episode = episodes[i]
         if episode is None:
@@ -316,7 +322,7 @@ def step(world: World) -> None:
                 else:
                     pending[target].append(i)
             # Still seeking here means the list ran out without expertise.
-            if awareness[i] == SEEKING and seeker_gives_up:
+            if awareness[i] == SEEKING:
                 episodes[i] = None
                 world._move(i, AWARE, IGNORANT)
         else:  # proactive

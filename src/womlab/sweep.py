@@ -10,6 +10,7 @@ a sweep is bit-reproducible for any worker count.
 
 from __future__ import annotations
 
+import operator
 import os
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -71,10 +72,15 @@ class SweepGrid:
                                      f"as {text}, so they would run as one cell")
                 seen[text] = g
             setattr(self, name, values)
-        if self.replications < 1:
-            raise SweepError("replications must be >= 1")
-        if self.max_retries < 1:
-            raise SweepError("max_retries must be >= 1")
+        for name in ("replications", "max_retries"):
+            value = getattr(self, name)
+            try:
+                value = operator.index(value)
+            except TypeError:
+                raise SweepError(f"{name} must be an integer, got {value!r}") from None
+            if value < 1:
+                raise SweepError(f"{name} must be >= 1")
+            setattr(self, name, value)
         self.base_seed = check_seed(self.base_seed)
 
     def run_count(self) -> int:

@@ -2,9 +2,11 @@
 
 import itertools
 import os
+import re
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -160,12 +162,15 @@ def test_simulate_full_expertise_supporters(ws_file, capsys):
 
 def test_simulate_trace_s_shape(ws_file, tmp_path, capsys):
     trace = tmp_path / "trace.csv"
-    code, _, _ = run_cli(capsys, "simulate", "--network", str(ws_file),
-                         "--k", "0.05", "--curious", "0.4", "--enthusiastic", "0.4",
-                         "--supporters", "0", "--seed", "5", "--trace", str(trace))
+    code, out, _ = run_cli(capsys, "simulate", "--network", str(ws_file),
+                           "--k", "0.05", "--curious", "0.4", "--enthusiastic", "0.4",
+                           "--supporters", "0", "--seed", "5", "--trace", str(trace))
     assert code == EXIT_OK
     lines = trace.read_text().strip().splitlines()
-    assert lines[0].count(",") == 9
+    # The README's header, and one row per round after the initial state.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    assert re.findall(r"`(round,[a-z_,]+)`", readme) == [lines[0]]
+    assert len(lines) - 1 == int(out.splitlines()[1].split(",")[9]) + 1
     rows = [list(map(int, line.split(",")[1:])) for line in lines[1:]]
     n = sum(rows[0])
     aware = [n - (r[0] + r[1] + r[2]) for r in rows]

@@ -1,18 +1,19 @@
 """Agent-model rules, invariants and end-to-end run behaviour."""
 
 import copy
-import dataclasses
 
 import numpy as np
 import pytest
 
 from womlab.generators import (FfParams, SiiParams, WsParams, generate_ff, generate_sii,
                                generate_ws)
-from womlab.graph import build_graph
+from womlab.graph import build_graph, compute_metrics
 from womlab.model import (AWARE, IGNORANT, KNOWLEDGEABLE, PROACTIVE, SEEKING,
                           UNAWARE, SimConfig, SimResult, World, _deliver_awareness,
                           _deliver_expertise, init_population, run, step)
+from womlab.reporting import iter_records, records_csv_string
 from womlab.rng import round_half_up
+from womlab.sweep import run_record
 
 BASE = dict(k=0.0, p_curious=0.0, p_enthusiastic=0.0, p_supporter=0.0,
             ad_rounds=0, seed=1)
@@ -67,6 +68,33 @@ def test_config_validation():
         SimConfig(k=0, p_curious=0, p_enthusiastic=0, p_supporter=0, ad_rounds=-1)
     with pytest.raises(ValueError):
         SimConfig(k=0, p_curious=0, p_enthusiastic=0, p_supporter=0, seed=-1)
+
+
+@pytest.mark.parametrize("name,value,stored", [
+    ("seed", np.uint64(5), 5),
+    ("seed", True, 1),
+    ("ad_rounds", np.int64(2), 2),
+    ("t_promote", np.uint8(3), 3),
+    ("max_rounds", True, 1),
+    ("ad_rounds", 2.5, None),
+    ("t_promote", 2.5, None),
+    ("max_rounds", 2.0, None),
+])
+def test_config_stores_checked_integers(name, value, stored, tmp_path):
+    # Counts and the seed are stored as plain ints; a non-integer fails
+    # at construction, naming the field, not in the middle of a run.
+    if stored is None:
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SimConfig(**{**BASE, name: value})
+        return
+    cfg = SimConfig(**{**BASE, name: value})
+    assert type(getattr(cfg, name)) is int and getattr(cfg, name) == stored
+    graph = line_graph(4)
+    text = records_csv_string([run_record("file", 0, cfg, run(graph, cfg),
+                                          compute_metrics(graph))])
+    (tmp_path / "records.csv").write_text(text, encoding="utf-8")
+    [back] = iter_records(tmp_path / "records.csv")
+    assert back.sim_seed == cfg.seed and records_csv_string([back]) == text
 
 
 # -- initialization -----------------------------------------------------------
@@ -351,7 +379,6 @@ def _random_world(rng):
         ad_rounds=int(rng.integers(0, 4)),
         ad_share=float(rng.choice([0.0, 0.02, 0.1])),
         t_promote=int(rng.integers(0, 6)),
-        seeker_gives_up=bool(rng.integers(0, 2)),
         max_rounds=300,
         seed=int(rng.integers(0, 2**32)),
     )
@@ -371,15 +398,8 @@ def _check_legality(w):
     for i in range(w.n):
         counts[w.awareness[i] * 3 + w.expertise[i]] += 1
     assert counts == w.counts
-    cfg = w.cfg
-    for gives_up in (False, True):
-        w.cfg = dataclasses.replace(cfg, seeker_gives_up=gives_up)
-        # Quiescent: advertising over, no promoter, no seeker with a move
-        # left (giving up is a move).
-        idle_seekers = not seekers if gives_up else all(not w.episode[i] for i in seekers)
-        expected = w.round >= cfg.ad_rounds and not promoters and idle_seekers
-        assert w.is_quiescent() == expected
-    w.cfg = cfg
+    # Quiescent: advertising over, nobody seeks or promotes.
+    assert w.is_quiescent() == (w.round >= w.cfg.ad_rounds and not promoters and not seekers)
 
 
 def test_state_machine_invariants_200_random_configs():
@@ -452,8 +472,8 @@ def test_reachability_oracle_on_disconnected_graphs():
 #
 # The oracle keeps its own state in RefEpisodes, next to a World whose
 # `episode` list it never touches: the graph it shuffles neighbors from,
-# separate query and push lists, a push budget per promoter, a tally of
-# seekers with nothing left to query and the set of ad targets.
+# separate query and push lists, a push budget per promoter and the set of
+# ad targets.
 
 
 class RefEpisodes:
@@ -464,7 +484,6 @@ class RefEpisodes:
         self.unqueried = [None] * n
         self.unpushed = [None] * n
         self.promote_left = [0] * n
-        self.n_seek_exhausted = 0
 
     def as_episode(self):
         """The same state in World.episode's form: a promoter's list keeps
@@ -488,14 +507,11 @@ def ref_agent_lists(w, ref):
             for name in PER_AGENT_LISTS] + [open_requests(w)]
 
 
-def _ref_is_quiescent(w, ref):
+def _ref_is_quiescent(w):
     counts = w.counts
     if w.round < w.cfg.ad_rounds or any(counts[PROACTIVE::3]):
         return False
-    seeking = counts[SEEKING * 3 + IGNORANT]
-    if w.cfg.seeker_gives_up:
-        return seeking == 0
-    return seeking == ref.n_seek_exhausted
+    return counts[SEEKING * 3 + IGNORANT] == 0
 
 
 def _ref_shuffled_neighbors(w, ref, i):
@@ -527,8 +543,6 @@ def _ref_deliver_awareness(w, ref, i, cause="contact"):
         w._move(i, SEEKING, IGNORANT)
         episode = _ref_shuffled_neighbors(w, ref, i)
         ref.unqueried[i] = episode
-        if not episode:
-            ref.n_seek_exhausted += 1
     else:
         w._move(i, AWARE, IGNORANT)
 
@@ -547,8 +561,6 @@ def _ref_deliver_expertise(w, ref, agent_id):
             new_ex = KNOWLEDGEABLE
         aw = w.awareness[i]
         if aw == SEEKING:
-            if not ref.unqueried[i]:
-                ref.n_seek_exhausted -= 1
             ref.unqueried[i] = None
             aw = AWARE
         w._move(i, aw, new_ex)
@@ -576,15 +588,12 @@ def reference_step(w, ref):
             episode = ref.unqueried[i]
             while episode and w.expertise[i] == IGNORANT:
                 target = episode.pop()
-                if not episode:
-                    ref.n_seek_exhausted += 1
                 _ref_deliver_awareness(w, ref, target)
                 if w.expertise[target] != IGNORANT:
                     _ref_deliver_expertise(w, ref, i)
                 else:
                     w.pending[target].append(i)
-            if w.awareness[i] == SEEKING and not ref.unqueried[i] and cfg.seeker_gives_up:
-                ref.n_seek_exhausted -= 1
+            if w.awareness[i] == SEEKING and not ref.unqueried[i]:
                 ref.unqueried[i] = None
                 w._move(i, AWARE, IGNORANT)
         elif w.expertise[i] == PROACTIVE:
@@ -606,12 +615,12 @@ def reference_run(graph, cfg):
     w = init_population(graph, cfg)
     ref = RefEpisodes(graph)
     series = [tuple(w.counts)]
-    while w.round < cfg.max_rounds and not _ref_is_quiescent(w, ref):
+    while w.round < cfg.max_rounds and not _ref_is_quiescent(w):
         reference_step(w, ref)
         series.append(tuple(w.counts))
     n = max(w.n, 1)
     return SimResult(w.aware_count() / n, w.both_count() / n, w.round,
-                     not _ref_is_quiescent(w, ref), series), w, ref
+                     not _ref_is_quiescent(w), series), w, ref
 
 
 def _ws(n, seed):
@@ -623,9 +632,7 @@ def _ws(n, seed):
     (_ws(200, 2), dict(k=0.1, p_curious=1.0, p_enthusiastic=0.0, p_supporter=0.5)),
     (_ws(200, 3), dict(k=0.5, p_curious=0.0, p_enthusiastic=1.0, p_supporter=0.0)),
     (_ws(200, 4), dict(k=0.0, p_curious=0.7, p_enthusiastic=0.7, p_supporter=0.7,
-                       seeker_gives_up=False, max_rounds=5)),  # cut during the ads
-    (_ws(200, 5), dict(k=0.05, p_curious=0.6, p_enthusiastic=0.3, p_supporter=0.2,
-                       seeker_gives_up=False)),
+                       max_rounds=5)),  # cut during the ads
     (_ws(200, 6), dict(k=0.02, p_curious=0.4, p_enthusiastic=0.4, p_supporter=0.4,
                        ad_share=1.0)),
     (_ws(200, 7), dict(k=0.1, p_curious=0.5, p_enthusiastic=1.0, p_supporter=1.0,
@@ -639,14 +646,16 @@ def _ws(n, seed):
                                       p_supporter=0.1)),
     (generate_sii(SiiParams(), 1), dict(k=0.1, p_curious=1.0, p_enthusiastic=0.5,
                                         p_supporter=0.5)),
-], ids=["mixed", "all-curious", "all-enthusiastic", "no-give-up-capped", "no-give-up",
-        "ad-share-1", "t-promote-0", "isolated", "default-ws", "default-ff", "default-sii"])
+], ids=["mixed", "all-curious", "all-enthusiastic", "capped", "ad-share-1", "t-promote-0",
+        "isolated", "default-ws", "default-ff", "default-sii"])
 def test_run_matches_reference(graph, overrides):
     for seed in range(5):
         cfg = SimConfig(**{"ad_rounds": 8, "ad_share": 0.01, "t_promote": 15,
                            "seed": 1000 + seed, **overrides})
         expected, _, _ = reference_run(graph, cfg)
-        assert run(graph, cfg) == expected, seed
+        result = run(graph, cfg)
+        assert result == expected, seed
+        assert result.hit_max_rounds == ("max_rounds" in overrides), seed  # only "capped" is cut
         # In lockstep, so a wrong ad target fails in the round it was drawn.
         w = init_population(graph, cfg)
         ref_world, ref = init_population(graph, cfg), RefEpisodes(graph)

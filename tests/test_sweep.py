@@ -5,6 +5,7 @@ import dataclasses
 import operator
 from functools import reduce
 
+import numpy as np
 import pytest
 
 import womlab.sweep
@@ -87,6 +88,14 @@ def test_grid_validation():
         small_grid(replications=0)
     with pytest.raises(SweepError, match="max_retries"):
         small_grid(max_retries=0)
+    # Counts are integers, checked here rather than failing in run_sweep.
+    with pytest.raises(SweepError, match="replications must be an integer, got 1.5"):
+        small_grid(replications=1.5)
+    with pytest.raises(SweepError, match="max_retries must be an integer, got 1.5"):
+        small_grid(max_retries=1.5)
+    grid = small_grid(replications=np.int64(2), max_retries=np.uint8(3))
+    assert (type(grid.replications), type(grid.max_retries)) == (int, int)
+    assert grid.run_count() == 8
     with pytest.raises(SweepError, match="worker_count"):
         run_sweep(small_grid(), 0)
     with pytest.raises(ValueError):
