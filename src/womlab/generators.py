@@ -30,8 +30,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .graph import Graph, GraphMetrics, build_graph, compute_metrics, is_connected
-from .rng import (GEOMETRIC_SEARCH_MIN_P, RAW_BLOCK, PhiloxReplay, RngSeed,
-                  geometric_thresholds, make_rng)
+from .rng import (GEOMETRIC_SEARCH_MIN_P, RAW_BLOCK, PhiloxReplay, RngSeed, check_count,
+                  check_share, geometric_thresholds, make_rng, store_counts)
 
 # Resampling cap when a rewired endpoint keeps colliding with existing
 # edges; past it the original edge is kept unchanged.
@@ -56,10 +56,9 @@ class WsParams:
     p_rewire: float = 0.055
 
     def __post_init__(self):
-        if self.nei < 1 or self.n <= 2 * self.nei:
-            raise ValueError("require n > 2*nei >= 2")
-        if not 0.0 <= self.p_rewire <= 1.0:
-            raise ValueError("p_rewire must be in [0, 1]")
+        store_counts(self, nei=1)
+        store_counts(self, n=2 * self.nei + 1)  # a second call: reads the checked nei
+        check_share("p_rewire", self.p_rewire)
 
 
 @dataclass(frozen=True)
@@ -79,16 +78,13 @@ class FfParams:
     ambs: int = 1
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        store_counts(self, n=1, ambs=1)
         if not 0.0 <= self.fw_prob < 1.0:
             raise ValueError("fw_prob must be in [0, 1)")
         if not self.bw_factor >= 0.0:  # positive form: NaN fails it
             raise ValueError("bw_factor must be >= 0")
         if not self.fw_prob * self.bw_factor <= 1.0:  # 0 * inf is NaN
             raise ValueError("fw_prob * bw_factor must be <= 1")
-        if self.ambs < 1:
-            raise ValueError("ambs must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -107,10 +103,8 @@ class SiiParams:
     n_inter: int = 1
 
     def __post_init__(self):
-        if self.n_islands < 1 or self.island_size < 1 or self.n_inter < 1:
-            raise ValueError("n_islands, island_size and n_inter must be positive")
-        if not 0.0 <= self.p_in <= 1.0:
-            raise ValueError("p_in must be in [0, 1]")
+        store_counts(self, n_islands=1, island_size=1, n_inter=1)
+        check_share("p_in", self.p_in)
         if self.n_inter > self.island_size ** 2:
             raise ValueError("n_inter cannot exceed island_size**2")
 
@@ -300,12 +294,16 @@ _GENERATORS = {
 MODEL_IDS = tuple(_GENERATORS)
 
 
-def _generator(model: str):
-    """The ``(params class, generator)`` pair of a model id."""
+def _generator(model: str, params_type: type | None = None):
+    """The ``(params class, generator)`` pair of a model id; ``params_type``,
+    unless None, must be that class or a subclass."""
     try:
-        return _GENERATORS[model]
+        cls, fn = _GENERATORS[model]
     except KeyError:
         raise ValueError(f"unknown network model {model!r}; expected one of {MODEL_IDS}")
+    if params_type is not None and not issubclass(params_type, cls):
+        raise TypeError(f"model {model!r} expects {cls.__name__}, got {params_type.__name__}")
+    return cls, fn
 
 
 def default_params(model: str):
@@ -315,10 +313,7 @@ def default_params(model: str):
 
 def generate(model: str, params, seed: RngSeed) -> Graph:
     """Dispatch to the named generator, checking the params type."""
-    cls, fn = _generator(model)
-    if not isinstance(params, cls):
-        raise TypeError(f"model {model!r} expects {cls.__name__}, got {type(params).__name__}")
-    return fn(params, seed)
+    return _generator(model, type(params))[1](params, seed)
 
 
 def generate_validated(model: str, params, seed: RngSeed,
@@ -333,8 +328,7 @@ def generate_validated(model: str, params, seed: RngSeed,
     stitching components, so the statistics of the returned graph are
     untouched.
     """
-    if max_retries < 1:
-        raise ValueError("max_retries must be >= 1")
+    max_retries = check_count("max_retries", max_retries, 1)
     for attempt in range(max_retries):
         attempt_seed = seed if attempt == 0 else int(
             np.random.SeedSequence([seed, attempt]).generate_state(1, np.uint64)[0])

@@ -18,6 +18,8 @@ from typing import Iterable
 
 import numpy as np
 
+from .rng import check_count
+
 
 class GraphConstructionError(ValueError):
     """Edge list cannot form a valid simple graph (bad id or self-loop)."""
@@ -56,9 +58,7 @@ class Graph:
     __slots__ = ("node_count", "edge_count", "_indptr", "_indices", "_distance_summary")
 
     def __init__(self, node_count: int, edge_list: Iterable[tuple[int, int]]):
-        node_count = int(node_count)
-        if node_count < 0:
-            raise GraphConstructionError("node_count must be non-negative")
+        node_count = check_count("node_count", node_count, 0)
         if not isinstance(edge_list, np.ndarray):
             edge_list = list(edge_list)
         pairs = np.asarray(edge_list, dtype=np.int64)

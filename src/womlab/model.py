@@ -33,14 +33,13 @@ independent worlds share nothing and may run concurrently.
 
 from __future__ import annotations
 
-import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .graph import Graph
-from .rng import RngSeed, check_seed, make_rng, round_half_up
+from .rng import RngSeed, check_seed, check_share, make_rng, round_half_up, store_counts
 
 # Awareness states.
 UNAWARE, SEEKING, AWARE = 0, 1, 2
@@ -79,20 +78,9 @@ class SimConfig:
 
     def __post_init__(self):
         for name in ("k", "p_curious", "p_enthusiastic", "p_supporter", "ad_share"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
-        # Frozen: store the checked values through object.__setattr__.
-        for name in ("ad_rounds", "t_promote", "max_rounds"):
-            value = getattr(self, name)
-            try:
-                value = operator.index(value)
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "seed", check_seed(self.seed))
+            check_share(name, getattr(self, name))
+        store_counts(self, ad_rounds=0, t_promote=0, max_rounds=0)
+        object.__setattr__(self, "seed", check_seed(self.seed))  # frozen
 
 
 @dataclass(frozen=True)

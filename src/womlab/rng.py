@@ -43,6 +43,32 @@ def check_seed(seed: int) -> int:
     return seed
 
 
+def check_count(name: str, value: int, minimum: int) -> int:
+    """A count of at least ``minimum`` as a plain int.  Any integer type is
+    taken; a float such as 2.5 is rejected, not truncated.  Errors name ``name``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
+def check_share(name: str, value: float) -> float:
+    """Validate a share in [0, 1] and return it; NaN fails."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1], got {value}")
+    return value
+
+
+def store_counts(obj, **minimums: int) -> None:
+    """Store each named count of ``obj`` back as ``check_count`` returns it,
+    through ``object.__setattr__``, so frozen dataclasses may call it too."""
+    for name, minimum in minimums.items():
+        object.__setattr__(obj, name, check_count(name, getattr(obj, name), minimum))
+
+
 def make_rng(seed: RngSeed) -> np.random.Generator:
     """Create the deterministic stream named by ``seed``."""
     return np.random.Generator(np.random.Philox(check_seed(seed)))

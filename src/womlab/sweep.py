@@ -10,17 +10,16 @@ a sweep is bit-reproducible for any worker count.
 
 from __future__ import annotations
 
-import operator
 import os
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
 
-from .generators import GenerationError, default_params, generate_validated
+from .generators import GenerationError, _generator, default_params, generate_validated
 from .graph import GraphMetrics
 from .model import SimConfig, SimResult, run
-from .rng import SEED_MASK, check_seed
+from .rng import SEED_MASK, check_count, check_seed, check_share, store_counts
 
 # XOR-ed onto the network seed to name the simulation stream of a run.
 SIM_SEED_XOR = 0x9E3779B97F4A7C15
@@ -56,13 +55,12 @@ class SweepGrid:
     def __post_init__(self):
         if self.params is None:
             self.params = default_params(self.network_model)
+        _generator(self.network_model, type(self.params))  # fail here, not in a worker
         for name in ("curious_values", "enthusiastic_values", "supporter_values", "k_values"):
             given = tuple(getattr(self, name))
-            values = tuple(v + 0.0 for v in given)  # -0.0 becomes 0.0
+            values = tuple(check_share(name, v + 0.0) for v in given)  # -0.0 becomes 0.0
             if not values:
                 raise SweepError(f"{name} must not be empty")
-            if any(not 0.0 <= v <= 1.0 for v in values):
-                raise SweepError(f"{name} must lie in [0, 1]")
             # Values that print alike would run as one cell (see cell_key).
             seen: dict[str, float] = {}
             for g, v in zip(given, values):
@@ -72,15 +70,7 @@ class SweepGrid:
                                      f"as {text}, so they would run as one cell")
                 seen[text] = g
             setattr(self, name, values)
-        for name in ("replications", "max_retries"):
-            value = getattr(self, name)
-            try:
-                value = operator.index(value)
-            except TypeError:
-                raise SweepError(f"{name} must be an integer, got {value!r}") from None
-            if value < 1:
-                raise SweepError(f"{name} must be >= 1")
-            setattr(self, name, value)
+        store_counts(self, replications=1, max_retries=1)
         self.base_seed = check_seed(self.base_seed)
 
     def run_count(self) -> int:
@@ -210,8 +200,7 @@ def run_sweep(grid: SweepGrid, worker_count: int = 1) -> list[RunRecord]:
     count and the usable CPUs; parallelism only changes the wall time.
     A worker that dies raises ``ChildProcessError``.
     """
-    if worker_count < 1:
-        raise SweepError("worker_count must be >= 1")
+    worker_count = check_count("worker_count", worker_count, 1)
     specs = enumerate_cells(grid)
     task = partial(_run_or_none, grid)
     worker_count = min(worker_count, len(specs), _usable_cpus())

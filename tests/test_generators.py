@@ -6,8 +6,9 @@ import pytest
 from womlab.generators import (FfParams, GenerationError, SiiParams, WsParams,
                                default_params, generate, generate_ff,
                                generate_sii, generate_validated, generate_ws)
-from womlab.graph import build_graph, global_clustering, is_connected
+from womlab.graph import Graph, build_graph, global_clustering, is_connected
 from womlab.rng import make_rng
+from womlab.sweep import SweepGrid, run_sweep
 
 
 def test_params_validation():
@@ -27,6 +28,31 @@ def test_params_validation():
         SiiParams(p_in=-0.1)
     with pytest.raises(ValueError):
         SiiParams(island_size=3, n_inter=10)
+
+
+@pytest.mark.parametrize("field,build,bad,good", [
+    ("n", lambda v: WsParams(n=v, nei=2), 20.5, np.int64(20)),
+    ("nei", lambda v: WsParams(n=20, nei=v), 2.5, np.uint8(2)),
+    ("n", lambda v: FfParams(n=v), 30.5, np.int32(30)),
+    ("ambs", lambda v: FfParams(n=30, ambs=v), 1.5, np.int64(2)),
+    ("n_islands", lambda v: SiiParams(n_islands=v, island_size=4), 2.5, np.int64(2)),
+    ("island_size", lambda v: SiiParams(n_islands=2, island_size=v), 4.5, np.int16(4)),
+    ("n_inter", lambda v: SiiParams(n_islands=2, island_size=4, n_inter=v), 1.5, np.uint8(1)),
+    ("node_count", lambda v: Graph(v, [(0, 3)]), 4.7, np.int64(4)),
+    ("node_count", lambda v: Graph(v, []), -0.5, np.int64(0)),
+    ("max_retries", lambda v: generate_validated("ws", WsParams(n=20, nei=2), 0, v), 1.5, None),
+    ("worker_count", lambda v: run_sweep(SweepGrid("ws", WsParams(n=20, nei=2)), v), 1.5, None),
+], ids=["ws-n", "ws-nei", "ff-n", "ff-ambs", "sii-n_islands", "sii-island_size",
+        "sii-n_inter", "graph-4.7", "graph--0.5", "generate_validated", "run_sweep"])
+def test_counts_are_checked_integers(field, build, bad, good):
+    # A float count fails, naming its field, rather than being truncated
+    # or rounded into another network; an integer of any type is stored
+    # as a plain int.
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer, got {bad}$"):
+        build(bad)
+    if good is not None:
+        value = getattr(build(good), field)
+        assert type(value) is int and value == good
 
 
 @pytest.mark.parametrize("fw_prob,bw_factor", [(0.37, float("nan")), (0.0, float("inf"))],

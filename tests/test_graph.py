@@ -140,7 +140,7 @@ def test_self_loop_rejected():
 
 
 def test_negative_node_count_and_non_pair_rows_rejected():
-    with pytest.raises(GraphConstructionError, match="non-negative"):
+    with pytest.raises(ValueError, match="node_count must be >= 0, got -1"):
         Graph(-1, [])
     with pytest.raises(GraphConstructionError, match=r"\(u, v\) pairs"):
         Graph(3, [(0, 1, 2)])

@@ -9,7 +9,7 @@ import pytest
 from womlab.generators import WsParams, generate_ws
 from womlab.model import SimConfig
 from womlab.rng import (GEOMETRIC_SEARCH_MIN_P, RAW_BLOCK, PhiloxReplay, check_seed,
-                        geometric_thresholds, make_rng)
+                        check_share, geometric_thresholds, make_rng)
 from womlab.sweep import SweepGrid
 
 # 2**31 + 1 rejects about half of its first draws.
@@ -154,3 +154,10 @@ def test_numpy_integer_seeds_are_plain_ints():
     assert type(grid.base_seed) is int and grid.base_seed == 2 ** 64 - 1
     with pytest.raises(ValueError, match="64-bit unsigned"):
         check_seed(-1)
+
+
+@pytest.mark.parametrize("value", [-0.1, 1.5, float("nan"), float("inf")])
+def test_share_check_rejects_values_outside_the_unit_interval(value):
+    with pytest.raises(ValueError, match=r"^p_in must be in \[0, 1\], got "):
+        check_share("p_in", value)
+    assert check_share("p_in", 0.0) == 0.0 and check_share("p_in", 1) == 1

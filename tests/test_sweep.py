@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import womlab.sweep
-from womlab.generators import GenerationError, SiiParams, WsParams, generate_validated
+from womlab.generators import (FfParams, GenerationError, SiiParams, WsParams,
+                               generate_validated)
 from womlab.sweep import (SIM_SEED_XOR, RunRecord, SweepError, SweepGrid, aggregate,
                           enumerate_cells, execute_run, fmt6, run_sweep)
 
@@ -82,24 +83,29 @@ def test_seed_injectivity_across_sweep():
 def test_grid_validation():
     with pytest.raises(SweepError):
         small_grid(curious_values=())
-    with pytest.raises(SweepError):
+    with pytest.raises(ValueError, match="k_values"):
         small_grid(k_values=(1.5,))
-    with pytest.raises(SweepError):
+    with pytest.raises(ValueError, match="replications"):
         small_grid(replications=0)
-    with pytest.raises(SweepError, match="max_retries"):
+    with pytest.raises(ValueError, match="max_retries"):
         small_grid(max_retries=0)
     # Counts are integers, checked here rather than failing in run_sweep.
-    with pytest.raises(SweepError, match="replications must be an integer, got 1.5"):
+    with pytest.raises(ValueError, match="replications must be an integer, got 1.5"):
         small_grid(replications=1.5)
-    with pytest.raises(SweepError, match="max_retries must be an integer, got 1.5"):
+    with pytest.raises(ValueError, match="max_retries must be an integer, got 1.5"):
         small_grid(max_retries=1.5)
     grid = small_grid(replications=np.int64(2), max_retries=np.uint8(3))
     assert (type(grid.replications), type(grid.max_retries)) == (int, int)
     assert grid.run_count() == 8
-    with pytest.raises(SweepError, match="worker_count"):
+    with pytest.raises(ValueError, match="worker_count"):
         run_sweep(small_grid(), 0)
     with pytest.raises(ValueError):
         SweepGrid(network_model="unknown")
+    # The model and its params class too, not in the first run (a pool worker's).
+    with pytest.raises(ValueError, match="unknown network model 'nope'"):
+        SweepGrid("nope", params=WsParams(n=30, nei=2))
+    with pytest.raises(TypeError, match="model 'ws' expects WsParams, got FfParams"):
+        SweepGrid("ws", params=FfParams())
 
 
 @pytest.mark.parametrize("axis", ["curious_values", "enthusiastic_values",
